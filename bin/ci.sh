@@ -4,7 +4,8 @@
 # the sharded-execution determinism gate (serial vs --jobs NDJSON diff),
 # and the performance regression gate against the committed bench
 # baseline — which also runs once more under --jobs 2 to prove the
-# parallel engine reproduces the same event counts.
+# parallel engine reproduces the same event counts — and the wall-clock
+# benchmark's self-test.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -281,5 +282,12 @@ dune exec bench/main.exe -- --profiles-only --jobs 2 \
   --telemetry "$tmpdir/bench_j2.json" > /dev/null
 dune exec bin/main.exe -- bench-compare BENCH_giantsan.json \
   "$tmpdir/bench_j2.json"
+
+echo "== wall-clock benchmark self-test =="
+# Short runs of every perfbench workload: each must build, pass its output
+# checks, print every metric BENCHMARK.json declares with its unit, change
+# its inputs with the seed, and count a corrupted checksum as a failure.
+# A change that breaks the benchmark fails here, not in a benchmark run.
+python3 perfbench/selftest.py
 
 echo "== ci green =="

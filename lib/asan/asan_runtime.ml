@@ -76,8 +76,10 @@ let create_exposed_named name config =
       | None -> None)
   in
   (* ASan's instruction checks are single-load fast-path events; its linear
-     region scans are the slow path. *)
-  let region ?base ~lo ~hi ~size () =
+     region scans are the slow path. [anchored] is a plain bool, so the
+     check never boxes an option: [lo] becomes the report's anchor on the
+     report path only. *)
+  let region ~anchored ~lo ~hi ~size =
     counters.Counters.region_checks <- counters.Counters.region_checks + 1;
     let loads_before = if Trace.is_on () then Shadow_mem.loads m else 0 in
     let bad = region_is_safe m ~lo ~hi in
@@ -89,7 +91,8 @@ let create_exposed_named name config =
     end;
     match bad with
     | None -> None
-    | Some bad -> report ?base ~addr:bad ~size ()
+    | Some bad ->
+      report ?base:(if anchored then Some lo else None) ~addr:bad ~size ()
   in
   let access ~base ~addr ~width =
     (* ASan ignores the anchor: instruction-level protection only. *)
@@ -106,12 +109,12 @@ let create_exposed_named name config =
       if ok then None else report ~addr ~size:width ()
     end
     else begin
-      let r = region ~lo:addr ~hi:(addr + width) ~size:width () in
+      let r = region ~anchored:false ~lo:addr ~hi:(addr + width) ~size:width in
       Trace.emit_access ~tool:name ~addr ~width ~fast:false;
       r
     end
   in
-  let check_region ~lo ~hi = region ~base:lo ~lo ~hi ~size:(hi - lo) () in
+  let check_region ~lo ~hi = region ~anchored:true ~lo ~hi ~size:(hi - lo) in
   let snapshot, restore =
     San.snapshot_slot
       ~cap:(fun () ->

@@ -6,6 +6,9 @@ module Report = Giantsan_sanitizer.Report
 module Trace = Giantsan_telemetry.Trace
 module Histogram = Giantsan_telemetry.Histogram
 
+(* [report]'s anchor for an unanchored check *)
+let no_anchor = min_int
+
 let create_exposed_variant ~name ~use_cache ~check_underflow config =
   let heap = Memsim.Heap.create config in
   let m = Shadow_mem.of_heap heap ~fill:State_code.unallocated in
@@ -15,8 +18,12 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
   (* quarantine-residency bookkeeping (telemetry only): the free sequence
      number each block entered quarantine at, keyed by object id *)
   let quarantined_at : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let report ?base ~addr ~size () =
+  (* [anchor] is a plain int so the check path never boxes an option;
+     [no_anchor] marks an unanchored check and the option is built here, on
+     the report path only *)
+  let report ~anchor ~addr ~size =
     counters.Counters.errors <- counters.Counters.errors + 1;
+    let base = if anchor = no_anchor then None else Some anchor in
     let r =
       Report.make
         ~kind:(Report.classify_access heap ~addr ~base)
@@ -36,11 +43,12 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
     | Region_check.Safe_slow | Region_check.Bad _ ->
       counters.Counters.slow_checks <- counters.Counters.slow_checks + 1
   in
-  let ci ?anchor ~l ~r ~size () =
-    let loads_before = if Trace.is_on () then Shadow_mem.loads m else 0 in
+  let ci ~anchor ~l ~r ~size =
+    let traced = Trace.is_on () in
+    let loads_before = if traced then Shadow_mem.loads m else 0 in
     let outcome = Region_check.check_unaligned m ~l ~r in
     count_region outcome;
-    if Trace.is_on () then begin
+    if traced then begin
       let loads = Shadow_mem.loads m - loads_before in
       Histogram.observe hists.Histogram.h_loads_per_check loads;
       Trace.emit_region_check ~tool:name ~lo:l ~hi:r
@@ -55,7 +63,7 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
     | Region_check.Safe_fast | Region_check.Safe_slow | Region_check.Safe_word
       ->
       None
-    | Region_check.Bad addr -> report ?base:anchor ~addr ~size ()
+    | Region_check.Bad addr -> report ~anchor ~addr ~size
   in
   let malloc ?kind size =
     counters.Counters.mallocs <- counters.Counters.mallocs + 1;
@@ -103,66 +111,72 @@ let create_exposed_variant ~name ~use_cache ~check_underflow config =
       | None -> ());
       r
   in
-  let traced_access ~addr ~width check =
-    if Trace.is_on () then begin
-      Histogram.observe hists.Histogram.h_access_width width;
-      let slow_before = counters.Counters.slow_checks in
-      let r = check () in
-      Trace.emit_access ~tool:name ~addr ~width
-        ~fast:(counters.Counters.slow_checks = slow_before);
-      r
-    end
-    else check ()
+  (* Traced only: the access event follows the check's own events;
+     [slow_before] is the slow-check count read before the check ran. *)
+  let note_access ~addr ~width ~slow_before =
+    Histogram.observe hists.Histogram.h_access_width width;
+    Trace.emit_access ~tool:name ~addr ~width
+      ~fast:(counters.Counters.slow_checks = slow_before)
   in
   let access ~base ~addr ~width =
-    traced_access ~addr ~width (fun () ->
-        if base > 0 && addr >= base then
-          (* anchor-based: protect everything between the anchor and the
-             access *)
-          ci ~anchor:base ~l:base ~r:(addr + width) ~size:width ()
-        else if base > 0 && check_underflow then begin
-          counters.Counters.underflow_checks <-
-            counters.Counters.underflow_checks + 1;
-          match ci ~anchor:base ~l:addr ~r:base ~size:width () with
-          | Some r -> Some r
-          | None ->
-            if addr + width > base then
-              ci ~anchor:base ~l:base ~r:(addr + width) ~size:width ()
-            else None
-        end
-        else
-          (* no anchor (or underflow anchoring disabled, the §5.4 degraded
-             mode): check only the accessed bytes *)
-          ci ~l:addr ~r:(addr + width) ~size:width ())
+    let slow_before = counters.Counters.slow_checks in
+    let r =
+      if base > 0 && addr >= base then
+        (* anchor-based: protect everything between the anchor and the
+           access *)
+        ci ~anchor:base ~l:base ~r:(addr + width) ~size:width
+      else if base > 0 && check_underflow then begin
+        counters.Counters.underflow_checks <-
+          counters.Counters.underflow_checks + 1;
+        match ci ~anchor:base ~l:addr ~r:base ~size:width with
+        | Some r -> Some r
+        | None ->
+          if addr + width > base then
+            ci ~anchor:base ~l:base ~r:(addr + width) ~size:width
+          else None
+      end
+      else
+        (* no anchor (or underflow anchoring disabled, the §5.4 degraded
+           mode): check only the accessed bytes *)
+        ci ~anchor:no_anchor ~l:addr ~r:(addr + width) ~size:width
+    in
+    if Trace.is_on () then note_access ~addr ~width ~slow_before;
+    r
   in
-  let check_region ~lo ~hi =
-    ci ~anchor:lo ~l:lo ~r:hi ~size:(hi - lo) ()
-  in
+  let check_region ~lo ~hi = ci ~anchor:lo ~l:lo ~r:hi ~size:(hi - lo) in
   let cached_access (cache : San.cache) ~off ~width =
-    let addr = cache.San.cache_base + off in
-    if off < 0 && not check_underflow then
-      (* degraded §5.4 mode: unanchored check of the accessed bytes only *)
-      traced_access ~addr ~width (fun () ->
-          ci ~l:addr ~r:(addr + width) ~size:width ())
-    else if use_cache then
-      traced_access ~addr ~width (fun () ->
-          match Quasi_bound.access m counters cache ~off ~width with
-          | Quasi_bound.Ok_cached ->
-            Trace.emit_cache_hit ~tool:name ~off;
-            None
-          | Quasi_bound.Ok_checked ->
-            Trace.emit_cache_update ~tool:name ~ub:(San.cache_ub cache);
-            None
-          | Quasi_bound.Bad addr ->
-            report ~base:cache.San.cache_base ~addr ~size:width ())
-    else access ~base:cache.San.cache_base ~addr ~width
+    let base = cache.San.cache_base in
+    let addr = base + off in
+    if use_cache && (off >= 0 || check_underflow) then begin
+      let slow_before = counters.Counters.slow_checks in
+      let outcome = Quasi_bound.access m counters cache ~off ~width in
+      let r =
+        match outcome with
+        | Quasi_bound.Ok_cached | Quasi_bound.Ok_checked -> None
+        | Quasi_bound.Bad addr -> report ~anchor:base ~addr ~size:width
+      in
+      if Trace.is_on () then begin
+        (match outcome with
+        | Quasi_bound.Ok_cached -> Trace.emit_cache_hit ~tool:name ~off
+        | Quasi_bound.Ok_checked ->
+          Trace.emit_cache_update ~tool:name ~ub:(San.cache_ub cache)
+        | Quasi_bound.Bad _ -> ());
+        note_access ~addr ~width ~slow_before
+      end;
+      r
+    end
+    else
+      (* no caching, or a negative offset in the degraded §5.4 mode: the
+         plain check, which for [addr < base] without underflow anchoring
+         is the unanchored check of the accessed bytes *)
+      access ~base ~addr ~width
   in
   let flush_cache cache =
     if not use_cache then None
     else
       match Quasi_bound.flush m counters cache with
       | None -> None
-      | Some addr -> report ~base:cache.San.cache_base ~addr ~size:0 ()
+      | Some addr -> report ~anchor:cache.San.cache_base ~addr ~size:0
   in
   let snapshot, restore =
     San.snapshot_slot

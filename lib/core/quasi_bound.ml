@@ -107,19 +107,24 @@ let access m (c : Counters.t) (cache : San.cache) ~off ~width =
       else Ok_checked
   end
 
-let flush m (c : Counters.t) (cache : San.cache) =
-  (* Figure 9 line 14, per history window: everything the cache ever
-     vouched for is re-verified, so a mid-loop free inside ANY window —
-     upper or lower side — is caught at loop exit. *)
-  let rec go = function
-    | [] -> None
-    | (lo, hi) :: rest -> (
-      let outcome = Region_check.check_unaligned m ~l:lo ~r:hi in
+(* Figure 9 line 14, per history window: everything the cache ever
+   vouched for is re-verified, so a mid-loop free inside ANY window —
+   upper or lower side — is caught at loop exit. Walks the slots in MRU
+   order without building a list. *)
+let rec flush_from m (c : Counters.t) (ws : San.window array) k =
+  if k >= Array.length ws then None
+  else begin
+    let w = ws.(k) in
+    if w.San.w_lo >= w.San.w_hi then flush_from m c ws (k + 1)
+    else begin
+      let outcome = Region_check.check_unaligned m ~l:w.San.w_lo ~r:w.San.w_hi in
       count_region c outcome;
       match outcome with
       | Region_check.Bad a -> Some a
       | Region_check.Safe_fast | Region_check.Safe_slow
       | Region_check.Safe_word ->
-        go rest)
-  in
-  go (San.cache_windows cache)
+        flush_from m c ws (k + 1)
+    end
+  end
+
+let flush m c (cache : San.cache) = flush_from m c cache.San.windows 0

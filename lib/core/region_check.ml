@@ -44,10 +44,14 @@ let check_scalar m ~l ~r =
 
 (* Word fast path, for regions spanning at most 8 segments (r - l <= 64,
    the overwhelmingly common case: every instruction-level access and most
-   operation-level checks). One 64-bit shadow load fetches all the segments
-   Algorithm 1 could ever probe for such a region; the three probe lanes
-   (fold at l, same-degree suffix fold, final partial segment) are then
-   served from the broadcast word instead of issuing separate loads.
+   operation-level checks). One word-wide shadow load covers all the
+   segments Algorithm 1 could ever probe for such a region; the three probe
+   lanes (fold at l, same-degree suffix fold, final partial segment) are
+   then served from that word instead of issuing separate loads. The load
+   is charged once ([count_word_load]) and its lanes are read uncounted
+   with [peek]: lane [k] of the word at [l_seg] is segment [l_seg + k], and
+   an [int64] handed back across the module boundary would be boxed on
+   every check.
 
    Exactness, not just soundness: each probe reads the identical shadow
    byte the scalar kernel would load, so verdict AND blamed address match
@@ -61,8 +65,8 @@ let check_scalar m ~l ~r =
 let check_word m ~l ~r =
   (* precondition: l aligned, l < r, r - l <= 64 *)
   let l_seg = l / 8 in
-  let w = Shadow_mem.load_word m l_seg in
-  let v = Shadow_mem.word_byte w 0 in
+  Shadow_mem.count_word_load m l_seg;
+  let v = Shadow_mem.peek m l_seg in
   let u = State_code.covered_bytes v in
   if u >= r - l then Safe_word
   else begin
@@ -72,11 +76,12 @@ let check_word m ~l ~r =
         (* the suffix lane index is in [0, 7]: this branch needs [v] folded
            (else u = 0 fails the prefix test), so u >= 8 and
            l < r - u <= r - 8 *)
-      else if Shadow_mem.word_byte w ((r - u) / 8 - l_seg) <> v then
+      else if Shadow_mem.peek m ((r - u) / 8) <> v then
         bad := Some (min (r - 1) (((r - u) / 8 * 8) + 7))
     end;
     (if !bad = None then
-       let last = Shadow_mem.word_byte w ((r - 1) / 8 - l_seg) in
+       (* lane (r - 1) / 8 - l_seg, in [0, 7] since r - l <= 64 *)
+       let last = Shadow_mem.peek m ((r - 1) / 8) in
        if last > 72 - (r land 7) then
          bad := Some (((r - 1) / 8 * 8) + State_code.addressable_in_segment last));
     match !bad with None -> Safe_word | Some addr -> Bad addr

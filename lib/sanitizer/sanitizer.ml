@@ -37,79 +37,82 @@ let cache_ub c =
     c.windows;
   !ub
 
+(* The hit test runs on every cached access, so it allocates nothing: slot
+   0 is tested inline (the UM's check-the-recent-slot-first idiom) and only
+   a slot-0 miss scans the rest, closure-free. The query is non-empty, so a
+   window covering it is non-empty too. *)
+let rec hit_from ws k ~lo ~hi =
+  k < Array.length ws
+  &&
+  let w = ws.(k) in
+  if w.w_lo <= lo && hi <= w.w_hi then begin
+    (* promote the covering window to the MRU front *)
+    for j = k downto 1 do
+      ws.(j) <- ws.(j - 1)
+    done;
+    ws.(0) <- w;
+    true
+  end
+  else hit_from ws (k + 1) ~lo ~hi
+
 let cache_hit c ~lo ~hi =
   hi <= lo
   ||
-  let n = Array.length c.windows in
-  let rec find k =
-    if k >= n then -1
-    else
-      let w = c.windows.(k) in
-      if w.w_lo < w.w_hi && w.w_lo <= lo && hi <= w.w_hi then k
-      else find (k + 1)
-  in
-  let k = find 0 in
-  k >= 0
-  && begin
-       (* promote the covering window to the MRU front *)
-       let w = c.windows.(k) in
-       for j = k downto 1 do
-         c.windows.(j) <- c.windows.(j - 1)
-       done;
-       c.windows.(0) <- w;
-       true
-     end
+  let w = c.windows.(0) in
+  (w.w_lo <= lo && hi <= w.w_hi) || hit_from c.windows 1 ~lo ~hi
 
-let cache_note c ~lo ~hi =
-  if hi > lo then begin
-    (* union with every overlapping-or-adjacent window, to fixpoint (a
-       grown union can newly touch a window an earlier pass skipped) *)
-    let glo = ref lo and ghi = ref hi in
-    let absorbed = Array.map (fun _ -> false) c.windows in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iteri
-        (fun k w ->
-          if
-            (not absorbed.(k))
-            && w.w_lo < w.w_hi
-            && w.w_lo <= !ghi
-            && !glo <= w.w_hi
-          then begin
-            glo := min !glo w.w_lo;
-            ghi := max !ghi w.w_hi;
-            absorbed.(k) <- true;
-            changed := true
-          end)
-        c.windows
-    done;
-    (* merged window takes the front; surviving disjoint windows keep
-       their recency order behind it; the least recent falls off *)
-    let survivors =
-      Array.to_list c.windows
-      |> List.filteri (fun k _ -> not absorbed.(k))
-      |> List.filter_map (fun w ->
-             if w.w_lo < w.w_hi then Some (w.w_lo, w.w_hi) else None)
-    in
-    let rest = ref survivors in
-    Array.iteri
-      (fun k w ->
-        if k = 0 then begin
-          w.w_lo <- !glo;
-          w.w_hi <- !ghi
-        end
-        else
-          match !rest with
-          | (a, b) :: tl ->
-            rest := tl;
-            w.w_lo <- a;
-            w.w_hi <- b
-          | [] ->
-            w.w_lo <- 0;
-            w.w_hi <- 0)
-      c.windows
+(* Move the non-empty windows to the front, keeping their order; returns
+   how many there are. *)
+let rec compact ws i j =
+  if j = Array.length ws then i
+  else begin
+    let w = ws.(j) in
+    if w.w_lo < w.w_hi then begin
+      let d = ws.(i) in
+      d.w_lo <- w.w_lo;
+      d.w_hi <- w.w_hi;
+      compact ws (i + 1) (j + 1)
+    end
+    else compact ws i (j + 1)
   end
+
+(* The merged window takes the front; surviving disjoint windows keep
+   their recency order behind it; the least recent falls off. *)
+let install ws ~lo ~hi =
+  let live = compact ws 0 0 in
+  for k = Array.length ws - 1 downto 1 do
+    let d = ws.(k) in
+    if k <= live then begin
+      let s = ws.(k - 1) in
+      d.w_lo <- s.w_lo;
+      d.w_hi <- s.w_hi
+    end
+    else begin
+      d.w_lo <- 0;
+      d.w_hi <- 0
+    end
+  done;
+  ws.(0).w_lo <- lo;
+  ws.(0).w_hi <- hi
+
+(* Union [lo, hi) with every overlapping-or-adjacent window, emptying each
+   one absorbed, and sweep again after any absorption (a grown union can
+   newly touch a window an earlier sweep skipped) until a fixpoint. *)
+let rec absorb ws k ~lo ~hi ~grew =
+  if k < Array.length ws then begin
+    let w = ws.(k) in
+    if w.w_lo < w.w_hi && w.w_lo <= hi && lo <= w.w_hi then begin
+      let lo = Int.min lo w.w_lo and hi = Int.max hi w.w_hi in
+      w.w_lo <- 0;
+      w.w_hi <- 0;
+      absorb ws (k + 1) ~lo ~hi ~grew:true
+    end
+    else absorb ws (k + 1) ~lo ~hi ~grew
+  end
+  else if grew then absorb ws 0 ~lo ~hi ~grew:false
+  else install ws ~lo ~hi
+
+let cache_note c ~lo ~hi = if hi > lo then absorb c.windows 0 ~lo ~hi ~grew:false
 
 type t = {
   name : string;
@@ -152,12 +155,6 @@ let counters_copy c =
 let counters_restore c s =
   Counters.reset c;
   Counters.add c s
-
-let record_error t = function
-  | None -> None
-  | Some r ->
-    t.counters.Counters.errors <- t.counters.Counters.errors + 1;
-    Some r
 
 let plain_malloc heap counters ?kind size =
   counters.Counters.mallocs <- counters.Counters.mallocs + 1;

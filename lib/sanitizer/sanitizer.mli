@@ -52,7 +52,7 @@ val cache_ub : cache -> int
     telemetry. *)
 
 val cache_windows : cache -> (int * int) list
-(** Non-empty [(w_lo, w_hi)] pairs in MRU order — for flushing, tests and
+(** Non-empty [(w_lo, w_hi)] pairs in MRU order — for tests and
     diagnostics. *)
 
 type t = {
@@ -100,9 +100,6 @@ type t = {
           is event-count-identical to one on a freshly built sanitizer.
           Raises [Invalid_argument] if no snapshot was taken. *)
 }
-
-val record_error : t -> Report.t option -> Report.t option
-(** Count an error if one was produced (helper for implementers). *)
 
 val snapshot_slot :
   cap:(unit -> 's) -> put:('s -> unit) -> (unit -> unit) * (unit -> unit)

@@ -65,8 +65,11 @@ let word_of_bytes t p =
     !w
   end
 
+let count_word_load t p =
+  if p + 8 > 0 && p < Bytes.length t.bytes then t.loads <- t.loads + 1
+
 let load_word t p =
-  if p + 8 > 0 && p < Bytes.length t.bytes then t.loads <- t.loads + 1;
+  count_word_load t p;
   word_of_bytes t p
 
 (* Uncounted word fetch: the audit/dump twin of [peek]. Selfcheck and
@@ -158,8 +161,6 @@ let restore t s =
   t.journal <- [];
   t.loads <- s.s_loads;
   t.stores <- s.s_stores
-
-let journal_entries t = List.length t.journal
 
 let journal_segments t =
   List.fold_left (fun a (_, len) -> a + len) 0 t.journal

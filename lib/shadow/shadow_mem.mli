@@ -34,6 +34,11 @@ val load_word : t -> int -> int64
     per-byte), and a word that lies entirely outside the arena costs no
     load at all. In-range words compile to a single 64-bit fetch. *)
 
+val count_word_load : t -> int -> unit
+(** Charge exactly what [load_word m p] charges, without fetching: for a
+    kernel that then reads the word's lanes with [peek] ([peek m (p + k)]
+    is lane [k]), so that no [int64] is boxed on its path. *)
+
 val peek_word : t -> int -> int64
 (** Like [load_word] but uncounted — for audits (selfcheck) and dumps whose
     whole-arena scans must not perturb the workload's cost model. *)
@@ -94,9 +99,6 @@ val restore : t -> snapshot -> unit
 (** Blit the snapshot back over every journaled range, restore the
     counters, and clear the journal (it stays armed for the next exec).
     The snapshot must come from this [t]. *)
-
-val journal_entries : t -> int
-(** Ranges currently journaled (diagnostics and the chaos plane). *)
 
 val journal_segments : t -> int
 (** Total journaled segments, with multiplicity — the work {!restore} will

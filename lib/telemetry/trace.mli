@@ -15,10 +15,21 @@
     off, so worker domains emit nothing until they opt in — the parallel
     engine ({!Giantsan_parallel.Shard}) wraps each shard in [with_capture]
     to give it a private ring, and merges the captured event lists
-    deterministically afterwards. Nothing here is shared across domains, so
-    no locking is needed and the serial fast path is unchanged. *)
+    deterministically afterwards. Apart from the atomic gate below, nothing
+    here is shared across domains, so no locking is needed.
+
+    {b The process-wide gate.} One atomic counter, shared by all domains,
+    holds how many domains have their switch on. [is_on] and every
+    [emit_*] read it first and only look up the calling domain's sink when
+    it is non-zero, so with tracing off everywhere a disabled check or emit
+    costs one atomic load: no DLS lookup, no allocation. [enable],
+    [disable] and [with_capture] (on its exception path too) keep the count
+    exact, and a domain that exits with its switch on is counted out. *)
 
 val is_on : unit -> bool
+
+val active_domains : unit -> int
+(** Domains whose switch is currently on (the gate [is_on] reads first). *)
 
 val enable : ?capacity:int -> unit -> unit
 (** Turn the sink on with a fresh ring ([capacity] defaults to 65536

@@ -257,6 +257,61 @@ let test_mru_note_merge_promote_evict () =
   Alcotest.(check bool) "evicted span is no longer vouched for" false
     (San.cache_hit c ~lo:32 ~hi:40)
 
+(* Reference model of the window history: the MRU list of non-empty
+   windows. A hit promotes the first covering window; a note absorbs the
+   closure of windows overlapping or adjacent to the new span, puts the
+   union in front of the survivors, and keeps at most [mru_slots]. *)
+let ref_hit ws ~lo ~hi =
+  if hi <= lo then (true, ws)
+  else
+    let rec split before = function
+      | [] -> (false, ws)
+      | ((a, b) as w) :: rest when a <= lo && hi <= b ->
+        (true, (w :: List.rev before) @ rest)
+      | w :: rest -> split (w :: before) rest
+    in
+    split [] ws
+
+let ref_note ws ~lo ~hi =
+  if hi <= lo then ws
+  else
+    let rec grow (glo, ghi) ws =
+      match List.partition (fun (a, b) -> a <= ghi && glo <= b) ws with
+      | [], others -> (glo, ghi) :: others
+      | touching, others ->
+        grow
+          (List.fold_left
+             (fun (l, h) (a, b) -> (min l a, max h b))
+             (glo, ghi) touching)
+          others
+    in
+    List.filteri (fun i _ -> i < San.mru_slots) (grow (lo, hi) ws)
+
+let prop_mru_matches_reference =
+  Helpers.q "MRU history = list reference model (hit, note, evict)"
+    QCheck.(list_of_size (Gen.int_range 1 40)
+              (triple bool (int_range 0 96) (int_range 0 24)))
+    (fun ops ->
+      let c = San.new_cache ~base:0 in
+      let model = ref [] in
+      List.for_all
+        (fun (is_note, lo, len) ->
+          let hi = lo + len in
+          let agree_hit =
+            if is_note then begin
+              San.cache_note c ~lo ~hi;
+              model := ref_note !model ~lo ~hi;
+              true
+            end
+            else begin
+              let hit, ws = ref_hit !model ~lo ~hi in
+              model := ws;
+              San.cache_hit c ~lo ~hi = hit
+            end
+          in
+          agree_hit && San.cache_windows c = !model)
+        ops)
+
 let test_flush_catches_mid_loop_free () =
   (* Figure 9 line 14: a free during the loop is caught by the final check *)
   let san, base = fresh () in
@@ -328,6 +383,7 @@ let suite =
         test_underflow_tail_refreshes_bound;
       Helpers.qt "MRU note/merge/promote/evict unit" `Quick
         test_mru_note_merge_promote_evict;
+      prop_mru_matches_reference;
       Helpers.qt "flush catches mid-loop free" `Quick
         test_flush_catches_mid_loop_free;
       Helpers.qt "flush is silent on clean loops" `Quick

@@ -236,6 +236,61 @@ let test_disabled_path_allocates_nothing =
         Alcotest.fail
           (Printf.sprintf "disabled emit path allocated %.0f words" delta))
 
+let test_gate_balanced =
+  Helpers.qt "the process-wide trace gate stays balanced" `Quick (fun () ->
+      let active what n = Alcotest.(check int) what n (Trace.active_domains ()) in
+      Trace.disable ();
+      active "closed at rest" 0;
+      (match Trace.with_capture (fun () -> failwith "boom") with
+      | _ -> Alcotest.fail "with_capture swallowed the exception"
+      | exception Failure _ -> ());
+      active "closed after a raising capture" 0;
+      Alcotest.(check bool) "off after a raising capture" false (Trace.is_on ());
+      Trace.enable ();
+      Trace.enable ();
+      active "a domain enabled twice counts once" 1;
+      (match
+         Trace.with_capture (fun () ->
+             active "a nested capture adds nothing" 1;
+             Trace.disable ();
+             active "disable inside the capture" 0;
+             failwith "boom")
+       with
+      | _ -> Alcotest.fail "with_capture swallowed the exception"
+      | exception Failure _ -> ());
+      active "the raising capture restores the outer switch" 1;
+      Alcotest.(check bool) "outer switch back on" true (Trace.is_on ());
+      Trace.disable ();
+      Trace.disable ();
+      active "closed after disable" 0;
+      Domain.join (Domain.spawn (fun () -> Trace.enable ()));
+      active "a domain that exits tracing is counted out" 0)
+
+let test_spawned_domain_emits_nothing =
+  Helpers.qt "a domain spawned while the main domain traces emits nothing"
+    `Quick (fun () ->
+      let (), events =
+        Trace.with_capture (fun () ->
+            Trace.emit_free ~tool:"main" ~addr:1;
+            let on, emitted =
+              Domain.join
+                (Domain.spawn (fun () ->
+                     Trace.emit_free ~tool:"worker" ~addr:2;
+                     Trace.emit_access ~tool:"worker" ~addr:2 ~width:8
+                       ~fast:true;
+                     (Trace.is_on (), Trace.emitted ())))
+            in
+            Alcotest.(check bool) "worker switch off" false on;
+            Alcotest.(check int) "worker sink empty" 0 emitted;
+            Alcotest.(check int) "gate counts the main domain only" 1
+              (Trace.active_domains ()))
+      in
+      match events with
+      | [ (_, Giantsan_telemetry.Event.Free { tool = "main"; addr = 1 }) ] -> ()
+      | _ ->
+        Alcotest.failf "expected only the main domain's free, got %d events"
+          (List.length events))
+
 (* ------------------------------------------------------------------ *)
 (* Performance regression gate                                         *)
 (* ------------------------------------------------------------------ *)
@@ -641,4 +696,7 @@ let suite =
       test_every_event_kind_passes_strict;
       test_unknown_kind_rejected;
       test_summary_keys_rows_by_name;
+      (* Appended after the existing cases so their indices stay stable. *)
+      test_gate_balanced;
+      test_spawned_domain_emits_nothing;
     ] )
