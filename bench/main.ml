@@ -92,7 +92,7 @@ let fig10_group =
     (List.map
        (fun mode ->
          Test.make
-           ~name:("plan/" ^ Instrument.mode_name mode)
+           ~name:("plan/" ^ Runner.config_name mode)
            (Staged.stage (fun () -> ignore (Instrument.plan mode prog))))
        [ Instrument.Asan; Instrument.Asanmm; Instrument.Giantsan ])
 
@@ -345,7 +345,7 @@ let profile_stats () =
   let outcome =
     Giantsan_parallel.Sweep.run ~heap:bench_heap ~jobs
       ~profiles:(List.map shrink Profiles.all)
-      ~configs:Runner.bench_configs ()
+      ~configs:Runner.all_configs ()
   in
   List.filter_map
     (fun (r : Runner.result) ->

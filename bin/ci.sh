@@ -2,10 +2,9 @@
 # CI gate: build, tests, API docs, regression-corpus replay, a fixed-seed
 # fuzz smoke including a byte-identical determinism check of two runs,
 # the sharded-execution determinism gate (serial vs --jobs NDJSON diff),
-# and the performance regression gate against the committed bench
-# baseline — which also runs once more under --jobs 2 to prove the
-# parallel engine reproduces the same event counts — and the wall-clock
-# benchmark's self-test.
+# the bench gate's rule table against the committed bench baseline — run
+# once more under --jobs 2 to prove the parallel engine reproduces the
+# same event counts — and the wall-clock benchmark's self-test.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -251,37 +250,28 @@ assert_exit 2 dune exec bin/main.exe -- serve --policy budget=0.5
 assert_exit 2 dune exec bin/main.exe -- serve --policy speed=11
 echo "policy downshifts pinned, byte-identical across jobs, exits 1/0/2"
 
-echo "== perf gate (vs BENCH_giantsan.json baseline) =="
-# The deterministic profile sweep only: event counts must reproduce the
-# committed baseline exactly, ns/op within ±25%. Wall-clock bechamel
-# groups vary per machine and are not gated (see EXPERIMENTS.md for the
-# comparison rules and how to re-baseline intentionally).
+echo "== bench gate (vs BENCH_giantsan.json baseline, serial and --jobs 2) =="
+# One engine, one rule table (lib/telemetry/export.ml, gate_rules), run
+# over the deterministic profile sweep twice: serial and sharded. Event
+# counts must reproduce the committed baseline exactly and ns/op stay
+# within ±25%; the fig11 reverse row must keep half its checks on the word
+# path and GiantSan no slower than ASan (the §5.4 regression the MRU window
+# history fixed); the fuzzmode rows must carry identical counts across
+# rebuild and persistent modes, persistent never slower, and a 5x giantsan
+# speedup. sim_ns comes from event counts, never wall clock, so the
+# sharded sweep must pass every rule bit-for-bit too. Wall-clock bechamel
+# groups vary per machine and are not gated (see EXPERIMENTS.md for how to
+# re-baseline intentionally).
 dune exec bench/main.exe -- --profiles-only --telemetry "$tmpdir/bench.json" \
   > /dev/null
-dune exec bin/main.exe -- bench-compare BENCH_giantsan.json "$tmpdir/bench.json"
-
-echo "== fig11 word-path gate =="
-# The deterministic reverse-traversal row: most region checks must settle
-# on the single-load word kernel, and GiantSan's reverse ns/op must not
-# fall behind ASan's again (the §5.4 one-sided-summary regression the MRU
-# window history fixed).
-dune exec bin/main.exe -- fig11-gate "$tmpdir/bench.json"
-
-echo "== fuzz-mode throughput gate =="
-# The fuzzmode.* bench rows: per backend, event counts must be identical
-# between the rebuild and persistent projections (the in-JSON witness of
-# mode equivalence), persistent must never be slower, and on giantsan the
-# persistent profile must clear the 5x execs/sec floor the fuzz-mode
-# design promises.
-dune exec bin/main.exe -- fuzzmode-gate "$tmpdir/bench.json"
-
-echo "== perf gate under sharding (--jobs 2) =="
-# sim_ns is derived from deterministic event counts, never wall-clock, so
-# the same baseline must hold bit-for-bit when the sweep runs sharded.
+dune exec bin/main.exe -- bench-gate BENCH_giantsan.json "$tmpdir/bench.json"
 dune exec bench/main.exe -- --profiles-only --jobs 2 \
   --telemetry "$tmpdir/bench_j2.json" > /dev/null
-dune exec bin/main.exe -- bench-compare BENCH_giantsan.json \
-  "$tmpdir/bench_j2.json"
+dune exec bin/main.exe -- bench-gate BENCH_giantsan.json "$tmpdir/bench_j2.json"
+# a corrupt bench document is corrupt input (2), not a rule violation (1)
+printf '{"profiles": [\n' > "$tmpdir/corrupt_bench.json"
+assert_exit 2 dune exec bin/main.exe -- bench-gate BENCH_giantsan.json \
+  "$tmpdir/corrupt_bench.json"
 
 echo "== wall-clock benchmark self-test =="
 # Short runs of every perfbench workload: each must build, pass its output

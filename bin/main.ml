@@ -345,296 +345,47 @@ let check_ndjson_cmd =
               2))
       $ file $ lax)
 
-let bench_compare_cmd =
+let bench_gate_cmd =
+  let module E = Giantsan_telemetry.Export in
   let doc =
-    "Performance regression gate: compare a fresh BENCH_giantsan.json \
-     against the committed baseline. Deterministic event counts (ops, \
-     shadow loads/stores, region/fast/slow checks) must match exactly; \
-     per-profile ns/op may drift within $(b,--tolerance). Wall-clock \
-     bechamel groups are not gated. Exits non-zero on any violation."
+    "Performance regression gate: evaluate every rule of the bench gate's \
+     rule table over a fresh BENCH_giantsan.json against the committed \
+     baseline. Deterministic event counts must match the baseline exactly \
+     and profile ns/op stay within ±25%; the fig11 reverse row must keep \
+     half its checks on the word path and GiantSan no slower than ASan; the \
+     fuzzmode rows must agree across modes, persistent no slower, and \
+     reach a 5x giantsan speedup. Exits 1 on any violation, 2 on an \
+     unreadable or malformed file or missing required rows."
   in
-  let baseline =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Committed baseline JSON.")
-  in
-  let current =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"CURRENT" ~doc:"Freshly generated bench JSON.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.25
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:"Relative ns/op tolerance (0.25 = ±25%).")
+  let file n docv doc =
+    Arg.(required & pos n (some string) None & info [] ~docv ~doc)
   in
   Cmd.v
-    (Cmd.info "bench-compare" ~doc)
+    (Cmd.info "bench-gate" ~doc)
     Term.(
-      const (fun baseline current tolerance ->
-          let read path =
-            match In_channel.with_open_text path In_channel.input_all with
-            | exception Sys_error e ->
-              Printf.eprintf "bench-compare: %s\n" e;
-              None
-            | text -> Some text
-          in
+      const (fun baseline current ->
+          let read p = In_channel.with_open_text p In_channel.input_all in
           match (read baseline, read current) with
-          | None, _ | _, None -> 1
-          | Some b, Some c -> (
-            match
-              Giantsan_telemetry.Export.compare_bench ~tolerance ~baseline:b
-                ~current:c
-            with
+          | exception Sys_error e ->
+            Printf.eprintf "bench-gate: %s\n" e;
+            2
+          | b, c -> (
+            match E.check_bench ~baseline:b ~current:c () with
             | Ok n ->
-              Printf.printf
-                "perf gate OK: %d profile rows within ±%.0f%% ns/op, all \
-                 event counts exact\n"
-                n (tolerance *. 100.0);
+              Printf.printf "bench gate OK: %d rules hold over %d row pairs\n  %s\n"
+                (List.length E.gate_rules) n
+                (String.concat " " (List.map (fun r -> r.E.name) E.gate_rules));
               0
-            | Error failures ->
-              Printf.eprintf "perf gate FAILED (%d violation(s)):\n"
-                (List.length failures);
-              List.iter (Printf.eprintf "  %s\n") failures;
+            | Error (E.Malformed e) ->
+              Printf.eprintf "bench-gate: %s\n" e;
+              2
+            | Error (E.Violations vs) ->
+              Printf.eprintf "bench gate FAILED (%d violation(s)):\n"
+                (List.length vs);
+              List.iter (Printf.eprintf "  %s\n") vs;
               1))
-      $ baseline $ current $ tolerance)
-
-let fig11_gate_cmd =
-  let doc =
-    "Gate the Figure 11 deterministic rows of a bench JSON: the GiantSan \
-     reverse-traversal row must settle at least $(b,--min-word-ratio) of \
-     its region checks on the word path, and its ns/op must not exceed \
-     ASan's on the same kernel (the historical reverse-traversal \
-     regression). Exits 1 with named violations otherwise."
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Bench JSON with fig11.* profile rows.")
-  in
-  let min_ratio =
-    Arg.(
-      value & opt float 0.5
-      & info [ "min-word-ratio" ] ~docv:"FRAC"
-          ~doc:"Minimum word_checks / region_checks on the reverse row.")
-  in
-  Cmd.v
-    (Cmd.info "fig11-gate" ~doc)
-    Term.(
-      const (fun file min_ratio ->
-          match In_channel.with_open_text file In_channel.input_all with
-          | exception Sys_error e ->
-            Printf.eprintf "fig11-gate: %s\n" e;
-            2
-          | text -> (
-            match Giantsan_telemetry.Export.parse_bench_profiles text with
-            | Error e ->
-              Printf.eprintf "fig11-gate: %s: %s\n" file e;
-              2
-            | Ok rows -> (
-              let module E = Giantsan_telemetry.Export in
-              let find config =
-                List.find_opt
-                  (fun g ->
-                    g.E.g_profile = "fig11.reverse-16KiB"
-                    && g.E.g_config = config)
-                  rows
-              in
-              match (find "giantsan", find "asan") with
-              | None, _ | _, None ->
-                Printf.eprintf
-                  "fig11-gate: %s has no fig11.reverse-16KiB rows for both \
-                   giantsan and asan\n"
-                  file;
-                2
-              | Some gs, Some asan ->
-                let count k g =
-                  match List.assoc_opt k g.E.g_counts with
-                  | Some v -> v
-                  | None -> 0
-                in
-                let checks = count "region_checks" gs in
-                let ratio =
-                  if checks = 0 then 0.0
-                  else
-                    float_of_int (count "word_checks" gs)
-                    /. float_of_int checks
-                in
-                let failures =
-                  (if ratio < min_ratio then
-                     [
-                       Printf.sprintf
-                         "reverse word-path ratio %.3f below the %.3f floor \
-                          (%d of %d checks)"
-                         ratio min_ratio (count "word_checks" gs) checks;
-                     ]
-                   else [])
-                  @
-                  if gs.E.g_ns_per_op > asan.E.g_ns_per_op then
-                    [
-                      Printf.sprintf
-                        "GiantSan reverse %.2f ns/op is slower than ASan's \
-                         %.2f — the fig11 regression is back"
-                        gs.E.g_ns_per_op asan.E.g_ns_per_op;
-                    ]
-                  else []
-                in
-                if failures = [] then begin
-                  Printf.printf
-                    "fig11 gate OK: reverse word-path ratio %.3f (>= %.3f), \
-                     GiantSan %.2f ns/op vs ASan %.2f\n"
-                    ratio min_ratio gs.E.g_ns_per_op asan.E.g_ns_per_op;
-                  0
-                end
-                else begin
-                  Printf.eprintf "fig11 gate FAILED (%d violation(s)):\n"
-                    (List.length failures);
-                  List.iter (Printf.eprintf "  %s\n") failures;
-                  1
-                end)))
-      $ file $ min_ratio)
-
-let fuzzmode_gate_cmd =
-  let doc =
-    "Gate the fuzz-mode throughput rows of a bench JSON: for every backend \
-     the persistent and rebuild rows must carry identical event counts \
-     (mode equivalence — a restored sanitizer is indistinguishable from a \
-     fresh one) and persistent must be no slower per exec; on the giantsan \
-     backend the persistent/rebuild execs-per-second speedup must reach \
-     $(b,--min-speedup). Exits 1 with named violations otherwise."
-  in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Bench JSON with fuzzmode.* profile rows.")
-  in
-  let min_speedup =
-    Arg.(
-      value & opt float 5.0
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:
-            "Minimum persistent-over-rebuild execs/sec ratio on the \
-             giantsan backend.")
-  in
-  Cmd.v
-    (Cmd.info "fuzzmode-gate" ~doc)
-    Term.(
-      const (fun file min_speedup ->
-          match In_channel.with_open_text file In_channel.input_all with
-          | exception Sys_error e ->
-            Printf.eprintf "fuzzmode-gate: %s\n" e;
-            2
-          | text -> (
-            match Giantsan_telemetry.Export.parse_bench_profiles text with
-            | Error e ->
-              Printf.eprintf "fuzzmode-gate: %s: %s\n" file e;
-              2
-            | Ok rows -> (
-              let module E = Giantsan_telemetry.Export in
-              let find profile config =
-                List.find_opt
-                  (fun g -> g.E.g_profile = profile && g.E.g_config = config)
-                  rows
-              in
-              let configs =
-                List.sort_uniq compare
-                  (List.filter_map
-                     (fun g ->
-                       if
-                         g.E.g_profile = "fuzzmode.rebuild"
-                         || g.E.g_profile = "fuzzmode.persistent"
-                       then Some g.E.g_config
-                       else None)
-                     rows)
-              in
-              match (configs, find "fuzzmode.rebuild" "giantsan") with
-              | [], _ | _, None ->
-                Printf.eprintf
-                  "fuzzmode-gate: %s has no fuzzmode.* rows for the giantsan \
-                   backend\n"
-                  file;
-                2
-              | _ -> (
-                let failures =
-                  List.concat_map
-                    (fun config ->
-                      match
-                        ( find "fuzzmode.rebuild" config,
-                          find "fuzzmode.persistent" config )
-                      with
-                      | None, _ | _, None ->
-                        [
-                          Printf.sprintf
-                            "backend %s is missing one of its two mode rows"
-                            config;
-                        ]
-                      | Some rb, Some ps ->
-                        (if rb.E.g_counts <> ps.E.g_counts then
-                           [
-                             Printf.sprintf
-                               "backend %s: event counts differ between \
-                                modes — a restored run is not equivalent \
-                                to a fresh one"
-                               config;
-                           ]
-                         else [])
-                        @
-                        if ps.E.g_ns_per_op > rb.E.g_ns_per_op then
-                          [
-                            Printf.sprintf
-                              "backend %s: persistent %.1f ns/exec is \
-                               slower than rebuild %.1f"
-                              config ps.E.g_ns_per_op rb.E.g_ns_per_op;
-                          ]
-                        else [])
-                    configs
-                  @
-                  match
-                    ( find "fuzzmode.rebuild" "giantsan",
-                      find "fuzzmode.persistent" "giantsan" )
-                  with
-                  | Some rb, Some ps
-                    when ps.E.g_ns_per_op > 0.0
-                         && rb.E.g_ns_per_op /. ps.E.g_ns_per_op < min_speedup
-                    ->
-                    [
-                      Printf.sprintf
-                        "giantsan speedup %.2fx below the %.2fx floor \
-                         (rebuild %.0f execs/sec, persistent %.0f)"
-                        (rb.E.g_ns_per_op /. ps.E.g_ns_per_op)
-                        min_speedup
-                        (1e9 /. rb.E.g_ns_per_op)
-                        (1e9 /. ps.E.g_ns_per_op);
-                    ]
-                  | _ -> []
-                in
-                match failures with
-                | [] ->
-                  let rb = Option.get (find "fuzzmode.rebuild" "giantsan")
-                  and ps =
-                    Option.get (find "fuzzmode.persistent" "giantsan")
-                  in
-                  Printf.printf
-                    "fuzzmode gate OK: %d backend(s), counts identical \
-                     across modes; giantsan %.0f execs/sec persistent vs \
-                     %.0f rebuild (%.2fx >= %.2fx)\n"
-                    (List.length configs)
-                    (1e9 /. ps.E.g_ns_per_op)
-                    (1e9 /. rb.E.g_ns_per_op)
-                    (rb.E.g_ns_per_op /. ps.E.g_ns_per_op)
-                    min_speedup;
-                  0
-                | _ ->
-                  Printf.eprintf "fuzzmode gate FAILED (%d violation(s)):\n"
-                    (List.length failures);
-                  List.iter (Printf.eprintf "  %s\n") failures;
-                  1))))
-      $ file $ min_speedup)
+      $ file 0 "BASELINE" "Committed baseline JSON."
+      $ file 1 "CURRENT" "Freshly generated bench JSON.")
 
 let sweep_cmd =
   let module Sweep = Giantsan_parallel.Sweep in
@@ -1224,8 +975,7 @@ let () =
   in
   let cmds =
     all_cmd :: extras_cmd :: fuzz_cmd :: fuzz_matrix_cmd :: replay_cmd
-    :: trace_cmd :: check_ndjson_cmd :: bench_compare_cmd :: fig11_gate_cmd
-    :: fuzzmode_gate_cmd :: sweep_cmd
+    :: trace_cmd :: check_ndjson_cmd :: bench_gate_cmd :: sweep_cmd
     :: chaos_cmd :: spec_cmd :: serve_cmd :: validate_cmd
     :: List.map
          (fun id -> experiment_cmd id id)

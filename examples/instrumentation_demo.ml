@@ -62,7 +62,7 @@ let () =
   List.iter
     (fun mode ->
       let plan = Instrument.plan mode prog in
-      Printf.printf "\n== %s plan ==\n" (Instrument.mode_name mode);
+      Printf.printf "\n== %s plan ==\n" (Runner.config_name mode);
       List.iter
         (fun (label, (acc : Ast.access)) ->
           Printf.printf "  %-6s -> %s\n" label

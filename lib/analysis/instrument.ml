@@ -7,18 +7,8 @@ type mode =
   | Lfp
   | Pac
   | Giantsan
-  | Giantsan_cache_only
-  | Giantsan_elim_only
-
-let mode_name = function
-  | Native -> "Native"
-  | Asan -> "ASan"
-  | Asanmm -> "ASan--"
-  | Lfp -> "LFP"
-  | Pac -> "PAC"
-  | Giantsan -> "GiantSan"
-  | Giantsan_cache_only -> "GiantSan-CacheOnly"
-  | Giantsan_elim_only -> "GiantSan-ElimOnly"
+  | Cache_only
+  | Elim_only
 
 (* Capability matrix: which static optimizations each tool can express. *)
 type caps = {
@@ -78,7 +68,7 @@ let caps_of = function
       merge_span = true;
       dedupe = true;
     }
-  | Giantsan_cache_only ->
+  | Cache_only ->
     {
       anchor = true;
       cache = true;
@@ -88,7 +78,7 @@ let caps_of = function
       merge_span = false;
       dedupe = false;
     }
-  | Giantsan_elim_only ->
+  | Elim_only ->
     {
       anchor = true;
       cache = false;
@@ -199,9 +189,7 @@ let const_byte_offset (acc : Ast.access) =
 let plan mode prog =
   let caps = caps_of mode in
   let enabled = mode <> Native in
-  let t =
-    Plan.create ~mode_name:(mode_name mode) ~enabled ~use_anchor:caps.anchor
-  in
+  let t = Plan.create ~enabled ~use_anchor:caps.anchor in
   if enabled then begin
     (* Everything starts instruction-level (Figure 8b)... *)
     List.iter

@@ -17,6 +17,11 @@
       quasi-bound cache when the tool has one;
     - the rest stays a plain per-access check. *)
 
+(** The sanitizer configurations of Table 2 plus the PAC backend and the
+    §5.2 ablations. This is the one definition of the configuration set:
+    [Giantsan_policy.Backend] holds one registry row per constructor
+    (names, runtime, scores), and [Runner.config] and [Harness.tool]
+    re-export it. *)
 type mode =
   | Native  (** no checks (the overhead baseline) *)
   | Asan  (** instruction-level checks everywhere *)
@@ -30,8 +35,7 @@ type mode =
           threads the base pointer through (the check authenticates the
           pointer's signing allocation) and no static optimization applies *)
   | Giantsan  (** merging + promotion + caching + anchors *)
-  | Giantsan_cache_only  (** ablation: caching, no merging/promotion *)
-  | Giantsan_elim_only  (** ablation: merging/promotion, no caching *)
+  | Cache_only  (** ablation: GiantSan with caching, no merging/promotion *)
+  | Elim_only  (** ablation: GiantSan with merging/promotion, no caching *)
 
-val mode_name : mode -> string
 val plan : mode -> Giantsan_ir.Ast.program -> Plan.t

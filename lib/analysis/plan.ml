@@ -7,7 +7,6 @@ type region = {
 }
 
 type t = {
-  mode_name : string;
   enabled : bool;
   use_anchor : bool;
   decisions : (int, decision) Hashtbl.t;
@@ -16,9 +15,8 @@ type t = {
   loop_caches : (int, string list) Hashtbl.t;
 }
 
-let create ~mode_name ~enabled ~use_anchor =
+let create ~enabled ~use_anchor =
   {
-    mode_name;
     enabled;
     use_anchor;
     decisions = Hashtbl.create 64;

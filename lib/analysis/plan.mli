@@ -18,7 +18,6 @@ type region = {
 }
 
 type t = {
-  mode_name : string;
   enabled : bool;  (** false = Native: no checks at all *)
   use_anchor : bool;  (** pass the base pointer as anchor (GiantSan) *)
   decisions : (int, decision) Hashtbl.t;
@@ -32,7 +31,7 @@ type t = {
       (** loop id -> base variables that get a quasi-bound cache *)
 }
 
-val create : mode_name:string -> enabled:bool -> use_anchor:bool -> t
+val create : enabled:bool -> use_anchor:bool -> t
 val decision_of : t -> int -> decision
 val set_decision : t -> int -> decision -> unit
 val add_loop_pre : t -> int -> region -> unit

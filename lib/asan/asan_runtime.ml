@@ -78,12 +78,13 @@ let create_exposed_named name config =
   (* ASan's instruction checks are single-load fast-path events; its linear
      region scans are the slow path. [anchored] is a plain bool, so the
      check never boxes an option: [lo] becomes the report's anchor on the
-     report path only. *)
+     report path only. Each call tests the trace switch once. *)
   let region ~anchored ~lo ~hi ~size =
     counters.Counters.region_checks <- counters.Counters.region_checks + 1;
-    let loads_before = if Trace.is_on () then Shadow_mem.loads m else 0 in
+    let traced = Trace.is_on () in
+    let loads_before = if traced then Shadow_mem.loads m else 0 in
     let bad = region_is_safe m ~lo ~hi in
-    if Trace.is_on () then begin
+    if traced then begin
       let loads = Shadow_mem.loads m - loads_before in
       Histogram.observe hists.Histogram.h_loads_per_check loads;
       Trace.emit_region_check ~tool:name ~lo ~hi ~fast:false ~loads;
@@ -97,12 +98,11 @@ let create_exposed_named name config =
   let access ~base ~addr ~width =
     (* ASan ignores the anchor: instruction-level protection only. *)
     ignore base;
-    if Trace.is_on () then
-      Histogram.observe hists.Histogram.h_access_width width;
     if width <= 8 then begin
       counters.Counters.instr_checks <- counters.Counters.instr_checks + 1;
       let ok = check_access m ~addr ~width in
       if Trace.is_on () then begin
+        Histogram.observe hists.Histogram.h_access_width width;
         Trace.emit_shadow_load ~tool:name ~count:1;
         Trace.emit_access ~tool:name ~addr ~width ~fast:true
       end;
@@ -110,7 +110,10 @@ let create_exposed_named name config =
     end
     else begin
       let r = region ~anchored:false ~lo:addr ~hi:(addr + width) ~size:width in
-      Trace.emit_access ~tool:name ~addr ~width ~fast:false;
+      if Trace.is_on () then begin
+        Histogram.observe hists.Histogram.h_access_width width;
+        Trace.emit_access ~tool:name ~addr ~width ~fast:false
+      end;
       r
     end
   in

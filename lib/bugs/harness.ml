@@ -1,13 +1,18 @@
 module Memsim = Giantsan_memsim
 
-type tool = Giantsan | Asan | Asanmm | Lfp | Pac
+module Backend = Giantsan_policy.Backend
 
-let tool_name = function
-  | Giantsan -> "GiantSan"
-  | Asan -> "ASan"
-  | Asanmm -> "ASan--"
-  | Lfp -> "LFP"
-  | Pac -> "PAC"
+type tool = Giantsan_analysis.Instrument.mode =
+  | Native
+  | Asan
+  | Asanmm
+  | Lfp
+  | Pac
+  | Giantsan
+  | Cache_only
+  | Elim_only
+
+let tool_name tool = (Backend.row tool).label
 
 let all_tools = [ Giantsan; Asan; Asanmm; Lfp; Pac ]
 
@@ -15,12 +20,7 @@ let make_sanitizer ?(redzone = 16) ?(quarantine = 16 * 1024) tool =
   let config =
     { Memsim.Heap.arena_size = 32 * 1024; redzone; quarantine_budget = quarantine }
   in
-  match tool with
-  | Giantsan -> Giantsan_core.Gs_runtime.create config
-  | Asan -> Giantsan_asan.Asan_runtime.create config
-  | Asanmm -> Giantsan_asan.Asan_runtime.create_named "ASan--" config
-  | Lfp -> Giantsan_lfp.Lfp_runtime.create config
-  | Pac -> Giantsan_pac.Pac_runtime.create config
+  fst ((Backend.row tool).create_exposed config)
 
 let detected ?redzone ?quarantine tool scenario =
   Scenario.run (make_sanitizer ?redzone ?quarantine tool) scenario

@@ -25,13 +25,6 @@ type outcome = {
   features : string list;
 }
 
-let tool_tag = function
-  | Harness.Giantsan -> "GS"
-  | Harness.Asan -> "AS"
-  | Harness.Asanmm -> "AM"
-  | Harness.Lfp -> "LF"
-  | Harness.Pac -> "PA"
-
 (* The counters whose magnitude says something about which paths a run
    exercised. [errors] is deliberately absent: report kinds cover it with
    more precision. *)
@@ -62,12 +55,6 @@ type mode = Rebuild | Persistent
 
 let mode_name = function Rebuild -> "rebuild" | Persistent -> "persistent"
 
-let mode_of_name s =
-  match String.lowercase_ascii (String.trim s) with
-  | "rebuild" -> Some Rebuild
-  | "persistent" -> Some Persistent
-  | _ -> None
-
 type ctx = { c_sans : (Harness.tool * San.t) list }
 
 let make_ctx () =
@@ -83,7 +70,7 @@ let make_ctx () =
 
 let run_tool_on san tool scenario =
   let reports = Scenario.run_reports san scenario in
-  let tag = tool_tag tool in
+  let tag = (Giantsan_policy.Backend.row tool).tag in
   let kind_features =
     List.sort_uniq compare
       (List.map (fun r -> "r:" ^ tag ^ ":" ^ Report.kind_name r.Report.kind) reports)

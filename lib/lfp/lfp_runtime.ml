@@ -81,13 +81,14 @@ let create config =
         end
   in
   let access ~base ~addr ~width =
-    if Trace.is_on () then
-      Histogram.observe hists.Histogram.h_access_width width;
     let anchor = if base > 0 then base else addr in
     let r = bounds_check ~anchor ~lo:addr ~hi:(addr + width) in
     (* LFP consults its per-slot bound table, never shadow: every check is
        a constant-time fast-path comparison *)
-    Trace.emit_access ~tool:name ~addr ~width ~fast:true;
+    if Trace.is_on () then begin
+      Histogram.observe hists.Histogram.h_access_width width;
+      Trace.emit_access ~tool:name ~addr ~width ~fast:true
+    end;
     r
   in
   let check_region ~lo ~hi =

@@ -160,11 +160,9 @@ let table2 ?(quick = false) ?(jobs = 1) () =
   let configs = Runner.all_configs in
   let header =
     [ "Programs"; "Native(s)" ]
-    @ List.concat_map
+    @ List.filter_map
         (fun c ->
-          match c with
-          | Runner.Native -> []
-          | c -> [ Runner.config_name c ^ " R" ])
+          if c = Runner.Native then None else Some (Runner.config_name c ^ " R"))
         configs
   in
   let ratios : (Runner.config, float list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -750,5 +748,3 @@ let run ?(quick = false) ?(jobs = 1) id =
       | "sweep-quarantine" -> sweep_quarantine ()
       | "compat" -> compat ()
       | other -> invalid_arg ("Experiments.run: unknown experiment " ^ other))
-
-let run_all ?quick ?jobs () = List.map (fun id -> run ?quick ?jobs id) all_ids

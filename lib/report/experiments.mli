@@ -1,7 +1,7 @@
 (** Experiment drivers: one per table/figure in the paper's evaluation.
 
     Every driver runs its whole experiment (deterministically) and returns
-    the rendered report as a string; [run_all] chains them. The CLI in
+    the rendered report as a string. The CLI in
     [bin/] exposes each one as a subcommand, and EXPERIMENTS.md records the
     paper-vs-measured comparison. *)
 
@@ -70,6 +70,3 @@ val run : ?quick:bool -> ?jobs:int -> string -> outcome
 (** Run one experiment by id (paper or extension). [jobs] parallelizes the
     experiments that shard cleanly (currently [table2] and [fig10]); the
     others ignore it. Raises [Invalid_argument] on unknown ids. *)
-
-val run_all : ?quick:bool -> ?jobs:int -> unit -> outcome list
-(** The paper's experiments, in order. *)

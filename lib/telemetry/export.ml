@@ -1,7 +1,6 @@
 let ndjson_lines events =
   List.map (fun (seq, ev) -> Json.to_string (Event.to_json ~seq ev)) events
 
-let trace_ndjson () = ndjson_lines (Trace.events ())
 
 let check_ndjson_line ?(lax = false) line =
   match Json.parse line with
@@ -298,46 +297,172 @@ let parse_bench_profiles text =
       |> Result.map List.rev
     | _ -> Error "missing \"profiles\" list")
 
-let compare_bench ~tolerance ~baseline ~current =
-  match parse_bench_profiles baseline, parse_bench_profiles current with
-  | Error e, _ -> Error [ "baseline: " ^ e ]
-  | _, Error e -> Error [ "current: " ^ e ]
-  | Ok base, Ok cur ->
-    let key g = (g.g_profile, g.g_config) in
-    let pretty (p, c) = Printf.sprintf "%s/%s" p c in
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    List.iter
-      (fun b ->
-        match List.find_opt (fun c -> key c = key b) cur with
-        | None -> fail "%s: missing from current run" (pretty (key b))
-        | Some c ->
-          List.iter
-            (fun (name, bv) ->
-              let cv = List.assoc name c.g_counts in
-              if cv <> bv then
-                fail "%s: %s changed %d -> %d (deterministic count must match)"
-                  (pretty (key b)) name bv cv)
-            b.g_counts;
-          if b.g_ns_per_op > 0.0 then begin
-            let ratio = c.g_ns_per_op /. b.g_ns_per_op in
-            if ratio > 1.0 +. tolerance then
-              fail "%s: ns/op regressed %.2f -> %.2f (%.0f%% > %.0f%% tolerance)"
-                (pretty (key b)) b.g_ns_per_op c.g_ns_per_op
-                ((ratio -. 1.0) *. 100.0) (tolerance *. 100.0)
-            else if ratio < 1.0 -. tolerance then
-              fail
-                "%s: ns/op improved %.2f -> %.2f beyond tolerance — \
-                 re-baseline if intentional"
-                (pretty (key b)) b.g_ns_per_op c.g_ns_per_op
-          end)
-      base;
-    List.iter
+(* The gate's rule table. A selector picks the pairs of rows a rule
+   judges; rows a [Pair] names are required input. The thresholds are
+   constants: 25% ns/op drift, half the fig11 reverse checks on the word
+   path, a 5x persistent fuzz speedup. *)
+
+type selector =
+  | Baseline_rows
+  | Pair of (string * string) * (string * string)
+  | Per_config of (string * string)
+
+type rule = {
+  name : string;
+  select : selector;
+  holds : gate_profile -> gate_profile -> bool;
+  message : gate_profile -> gate_profile -> string;
+}
+
+let tolerance = 0.25
+let min_word_ratio = 0.5
+let min_speedup = 5.0
+let sp = Printf.sprintf
+let key g = sp "%s/%s" g.g_profile g.g_config
+let count k g = Option.value ~default:0 (List.assoc_opt k g.g_counts)
+
+(* [a]'s ns/op as a multiple of [b]'s; 1.0 when [b] has none *)
+let ratio a b = if b.g_ns_per_op > 0.0 then a.g_ns_per_op /. b.g_ns_per_op else 1.0
+
+let word_ratio g =
+  let checks = count "region_checks" g in
+  if checks = 0 then 0.0
+  else float_of_int (count "word_checks" g) /. float_of_int checks
+
+let fig11 = Pair (("fig11.reverse-16KiB", "giantsan"), ("fig11.reverse-16KiB", "asan"))
+let modes = ("fuzzmode.rebuild", "fuzzmode.persistent")
+let rule name select holds message = { name; select; holds; message }
+
+let gate_rules =
+  List.map
+    (fun k ->
+      rule ("count:" ^ k) Baseline_rows
+        (fun b c -> count k b = count k c)
+        (fun b c ->
+          sp "%s: %s changed %d -> %d (deterministic count must match)" (key b) k
+            (count k b) (count k c)))
+    gate_count_fields
+  @ [
+      rule "ns-regressed" Baseline_rows
+        (fun b c -> ratio c b <= 1.0 +. tolerance)
+        (fun b c ->
+          sp "%s: ns/op regressed %.2f -> %.2f (%.0f%% > %.0f%% tolerance)" (key b)
+            b.g_ns_per_op c.g_ns_per_op
+            ((ratio c b -. 1.0) *. 100.0)
+            (tolerance *. 100.0));
+      rule "ns-improved" Baseline_rows
+        (fun b c -> ratio c b >= 1.0 -. tolerance)
+        (fun b c ->
+          sp "%s: ns/op improved %.2f -> %.2f beyond tolerance — re-baseline if \
+              intentional"
+            (key b) b.g_ns_per_op c.g_ns_per_op);
+      rule "fig11-word-path" fig11
+        (fun gs _ -> word_ratio gs >= min_word_ratio)
+        (fun gs _ ->
+          sp "reverse word-path ratio %.3f below the %.3f floor (%d of %d checks)"
+            (word_ratio gs) min_word_ratio (count "word_checks" gs)
+            (count "region_checks" gs));
+      rule "fig11-vs-asan" fig11
+        (fun gs asan -> gs.g_ns_per_op <= asan.g_ns_per_op)
+        (fun gs asan ->
+          sp "GiantSan reverse %.2f ns/op is slower than ASan's %.2f — the fig11 \
+              regression is back"
+            gs.g_ns_per_op asan.g_ns_per_op);
+      rule "fuzzmode-counts" (Per_config modes)
+        (fun rb ps -> rb.g_counts = ps.g_counts)
+        (fun rb _ ->
+          sp "backend %s: event counts differ between modes — a restored run is \
+              not equivalent to a fresh one"
+            rb.g_config);
+      rule "fuzzmode-not-slower" (Per_config modes)
+        (fun rb ps -> ps.g_ns_per_op <= rb.g_ns_per_op)
+        (fun rb ps ->
+          sp "backend %s: persistent %.1f ns/exec is slower than rebuild %.1f"
+            rb.g_config ps.g_ns_per_op rb.g_ns_per_op);
+      rule "fuzzmode-speedup"
+        (Pair ((fst modes, "giantsan"), (snd modes, "giantsan")))
+        (fun rb ps -> ps.g_ns_per_op <= 0.0 || ratio rb ps >= min_speedup)
+        (fun rb ps ->
+          sp "giantsan speedup %.2fx below the %.2fx floor (rebuild %.0f \
+              execs/sec, persistent %.0f)"
+            (ratio rb ps) min_speedup (1e9 /. rb.g_ns_per_op)
+            (1e9 /. ps.g_ns_per_op));
+    ]
+
+type gate_failure = Malformed of string | Violations of string list
+
+exception Missing_rows of string
+
+(* The row pairs a selector picks, and its presence violations. *)
+let select ~base ~cur sel =
+  let find rows (p, c) =
+    List.find_opt (fun g -> g.g_profile = p && g.g_config = c) rows
+  in
+  let only_in rows others msg =
+    List.filter_map
+      (fun g ->
+        if find others (g.g_profile, g.g_config) = None then Some (sp msg (key g))
+        else None)
+      rows
+  in
+  match sel with
+  | Baseline_rows ->
+    ( List.filter_map
+        (fun b -> Option.map (fun c -> (b, c)) (find cur (b.g_profile, b.g_config)))
+        base,
+      only_in base cur "%s: missing from current run"
+      @ only_in cur base "%s: not in baseline — re-baseline to admit it" )
+  | Pair (l, r) -> (
+    match (find cur l, find cur r) with
+    | Some l, Some r -> ([ (l, r) ], [])
+    | _ ->
+      let k (p, c) = p ^ "/" ^ c in
+      raise (Missing_rows (sp "no %s and %s rows" (k l) (k r))))
+  | Per_config (lp, rp) ->
+    let configs =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun g -> if g.g_profile = lp || g.g_profile = rp then Some g.g_config else None)
+           cur)
+    in
+    List.partition_map
       (fun c ->
-        if not (List.exists (fun b -> key b = key c) base) then
-          fail "%s: not in baseline — re-baseline to admit it" (pretty (key c)))
-      cur;
-    if !failures = [] then Ok (List.length base) else Error (List.rev !failures)
+        match (find cur (lp, c), find cur (rp, c)) with
+        | Some l, Some r -> Left (l, r)
+        | _ -> Right (sp "backend %s is missing one of its two mode rows" c))
+      configs
+
+let check_bench ?(rules = gate_rules) ~baseline ~current () =
+  match (parse_bench_profiles baseline, parse_bench_profiles current) with
+  | Error e, _ -> Error (Malformed ("baseline: " ^ e))
+  | _, Error e -> Error (Malformed ("current: " ^ e))
+  | Ok base, Ok cur -> (
+    match List.map (fun r -> (r, select ~base ~cur r.select)) rules with
+    | exception Missing_rows e -> Error (Malformed ("current: " ^ e))
+    | judged ->
+      (* selectors shared by several rules report their missing rows once *)
+      let missing =
+        List.fold_left
+          (fun acc (_, (_, m)) -> acc @ List.filter (fun x -> not (List.mem x acc)) m)
+          [] judged
+      in
+      let violations =
+        List.concat_map
+          (fun (r, (pairs, _)) ->
+            List.filter_map
+              (fun (a, b) -> if r.holds a b then None else Some (r.message a b))
+              pairs)
+          judged
+      in
+      if missing @ violations <> [] then Error (Violations (missing @ violations))
+      else
+        Ok
+          (List.length
+             (List.sort_uniq compare
+                (List.concat_map
+                   (fun (_, (pairs, _)) ->
+                     List.map (fun (a, b) -> (key a, key b)) pairs)
+                   judged))))
 
 let write_file path body =
   let oc = open_out path in

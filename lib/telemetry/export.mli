@@ -5,9 +5,6 @@
 val ndjson_lines : (int * Event.t) list -> string list
 (** One compact JSON object per event, in order. *)
 
-val trace_ndjson : unit -> string list
-(** [ndjson_lines] of the current global sink contents. *)
-
 val check_ndjson_line : ?lax:bool -> string -> (unit, string) result
 (** A valid trace line is one JSON object with an ["ev"] string field and
     a non-negative ["seq"] int field — and, unless [lax] (default
@@ -88,10 +85,12 @@ val parse_bench_service : string -> (service_row list, string) result
 
 (** {1 Performance regression gate}
 
-    The profile sweep is deterministic — seeded scenario generation feeding
-    the event-count cost model — so its event counts must reproduce exactly
-    and [ns_per_op] may move only within a tolerance (cost-model drift).
-    The wall-clock bechamel groups vary per machine and are not gated. *)
+    One engine evaluates a declarative rule table over the [profiles]
+    sections of two BENCH_giantsan.json documents: the committed baseline
+    and a fresh run. The sweep is deterministic (seeded scenarios, the
+    event-count cost model), so event counts must reproduce exactly and
+    [ns_per_op] may move only within a tolerance. The wall-clock bechamel
+    groups are not gated. *)
 
 val gate_count_fields : string list
 (** The per-profile fields the gate requires to match exactly:
@@ -106,17 +105,47 @@ type gate_profile = {
 
 val parse_bench_profiles : string -> (gate_profile list, string) result
 (** Parse the [profiles] section of a BENCH_giantsan.json document into
-    gate rows — what [compare_bench] diffs and the fig11 CI gate reads. *)
+    gate rows. *)
 
-val compare_bench :
-  tolerance:float -> baseline:string -> current:string ->
-  (int, string list) result
-(** [compare_bench ~tolerance ~baseline ~current] parses two
-    BENCH_giantsan.json documents and checks every baseline profile row
-    against the current run: exact equality on [gate_count_fields], and
-    [ns_per_op] within [±tolerance] (relative). Rows missing from either
-    side fail. Returns the number of compared rows, or the list of
-    failures. *)
+(** Which pairs of rows a rule judges (left, right). *)
+type selector =
+  | Baseline_rows
+      (** every baseline row against the current row with the same
+          profile and config; a row on one side only is a violation *)
+  | Pair of (string * string) * (string * string)
+      (** two current-run rows, each named by (profile, config); a missing
+          one is malformed input *)
+  | Per_config of (string * string)
+      (** per config, the current run's row on the first profile against
+          its row on the second, for every config with a row on either; a
+          config with only one is a violation *)
+
+type rule = {
+  name : string;
+  select : selector;
+  holds : gate_profile -> gate_profile -> bool;  (** left row, right row *)
+  message : gate_profile -> gate_profile -> string;  (** when it fails *)
+}
+
+val gate_rules : rule list
+(** The gate, in evaluation order: [count:FIELD] (exact equality with the
+    baseline for each of {!gate_count_fields}), [ns-regressed] and
+    [ns-improved] (ns/op within ±25%), [fig11-word-path] and
+    [fig11-vs-asan] (GiantSan's reverse row keeps ≥ 0.5 of its checks on
+    the word path and is no slower than ASan's), [fuzzmode-counts] and
+    [fuzzmode-not-slower] (per backend, persistent rows match rebuild
+    counts and are no slower) and [fuzzmode-speedup] (≥ 5x on giantsan). *)
+
+type gate_failure =
+  | Malformed of string
+      (** a document is not a bench JSON, or lacks rows a rule requires *)
+  | Violations of string list  (** every failed rule, with its message *)
+
+val check_bench :
+  ?rules:rule list -> baseline:string -> current:string -> unit ->
+  (int, gate_failure) result
+(** Evaluate [rules] (default {!gate_rules}) over the two documents.
+    Returns the number of distinct row pairs judged, or the failure. *)
 
 val write_file : string -> string -> unit
 (** [write_file path body] truncates and writes (with a trailing

@@ -30,8 +30,6 @@ val observe : t -> int -> unit
 val count : t -> int
 val sum : t -> int
 val max_value : t -> int
-val min_value : t -> int
-(** Smallest observed value; 0 when empty. *)
 
 val mean : t -> float
 val reset : t -> unit

@@ -4,7 +4,7 @@ module Counters = Giantsan_sanitizer.Counters
 module Instrument = Giantsan_analysis.Instrument
 module Interp = Giantsan_analysis.Interp
 
-type config =
+type config = Instrument.mode =
   | Native
   | Asan
   | Asanmm
@@ -14,23 +14,10 @@ type config =
   | Cache_only
   | Elim_only
 
-let config_name = function
-  | Native -> "Native"
-  | Asan -> "ASan"
-  | Asanmm -> "ASan--"
-  | Lfp -> "LFP"
-  | Pac -> "PAC"
-  | Giantsan -> "GiantSan"
-  | Cache_only -> "CacheOnly"
-  | Elim_only -> "EliminationOnly"
+let config_name c = (Giantsan_policy.Backend.row c).label
 
-let all_configs = [ Native; Giantsan; Asan; Asanmm; Lfp; Cache_only; Elim_only ]
-
-(* The bench sweep's configuration list: the paper-reproduction set plus
-   the PAC backend. Kept separate from [all_configs] so the pinned sweep /
-   fuzz / chaos expectations (which enumerate the paper's tools) stay
-   byte-stable. *)
-let bench_configs = all_configs @ [ Pac ]
+let all_configs =
+  [ Native; Giantsan; Asan; Asanmm; Lfp; Cache_only; Elim_only; Pac ]
 
 let heap_config =
   {
@@ -39,29 +26,10 @@ let heap_config =
     quarantine_budget = 256 * 1024;
   }
 
-let make_sanitizer ?(heap = heap_config) = function
-  | Native -> Giantsan_sanitizer.Native.create heap
-  | Asan -> Giantsan_asan.Asan_runtime.create heap
-  | Asanmm -> Giantsan_asan.Asan_runtime.create_named "ASan--" heap
-  | Lfp -> Giantsan_lfp.Lfp_runtime.create heap
-  | Pac -> Giantsan_pac.Pac_runtime.create heap
-  | Giantsan -> Giantsan_core.Gs_runtime.create heap
-  | Cache_only ->
-    Giantsan_core.Gs_runtime.create_variant ~name:"GiantSan-CacheOnly"
-      ~use_cache:true heap
-  | Elim_only ->
-    Giantsan_core.Gs_runtime.create_variant ~name:"GiantSan-ElimOnly"
-      ~use_cache:false heap
+let make_sanitizer ?(heap = heap_config) c =
+  fst ((Giantsan_policy.Backend.row c).create_exposed heap)
 
-let instrument_mode = function
-  | Native -> Instrument.Native
-  | Asan -> Instrument.Asan
-  | Asanmm -> Instrument.Asanmm
-  | Lfp -> Instrument.Lfp
-  | Pac -> Instrument.Pac
-  | Giantsan -> Instrument.Giantsan
-  | Cache_only -> Instrument.Giantsan_cache_only
-  | Elim_only -> Instrument.Giantsan_elim_only
+let instrument_mode c = c
 
 type status = Completed | Compile_error | Runtime_error
 

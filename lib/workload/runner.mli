@@ -2,39 +2,36 @@
     collapse the event counts through the cost model. This is the engine
     behind Table 2 and Figure 10. *)
 
-type config =
+type config = Giantsan_analysis.Instrument.mode =
   | Native
   | Asan
   | Asanmm
   | Lfp
-  | Pac  (** tagged-pointer authentication backend (lib/pac) *)
+  | Pac
   | Giantsan
-  | Cache_only  (** ablation: GiantSan with history caching only *)
-  | Elim_only  (** ablation: GiantSan with check elimination only *)
-      (** The sanitizer configurations of Table 2 ([Native] through
-          [Giantsan]) plus the §5.2 ablations and the PAC backend. *)
+  | Cache_only
+  | Elim_only
+      (** The configurations of {!Giantsan_policy.Backend}'s registry,
+          re-exported with their constructors. *)
 
 val config_name : config -> string
-(** Stable lowercase name used in reports, telemetry and NDJSON
-    (["native"], ["asan"], ["asan--"], ["lfp"], ["giantsan"], ...). *)
+(** The registry row's label, used in Table 2 columns, reports and the
+    bench JSON (["Native"], ["ASan--"], ["CacheOnly"], ...). *)
 
 val all_configs : config list
-(** Native first, then the sanitizers, then the two ablations. [Pac] is
-    deliberately absent: the pinned sweep / fuzz / chaos expectations
-    enumerate the paper's tool set and must stay byte-stable. *)
-
-val bench_configs : config list
-(** [all_configs] plus [Pac] — what the bench profile sweep runs. *)
+(** Native first, then the sanitizers, the two ablations, and PAC last —
+    what [table2], [sweep] and the bench profile sweep run. *)
 
 val make_sanitizer :
   ?heap:Giantsan_memsim.Heap.config -> config -> Giantsan_sanitizer.Sanitizer.t
-(** [heap] defaults to an 8 MiB arena with the paper's redzone/quarantine
-    settings. *)
+(** The registry row's constructor. [heap] defaults to an 8 MiB arena with
+    the paper's redzone/quarantine settings. *)
 
 val instrument_mode : config -> Giantsan_analysis.Instrument.mode
-(** How the static pipeline lowers checks for this configuration
-    (e.g. [Elim_only] keeps elimination/promotion but never emits
-    cached accesses). *)
+(** How the static pipeline lowers checks for this configuration — the
+    configuration itself, since {!config} is {!Giantsan_analysis.Instrument.mode}
+    (e.g. [Elim_only] keeps elimination/promotion but never emits cached
+    accesses). *)
 
 type status =
   | Completed

@@ -116,12 +116,12 @@ let test_fast_slow_partition =
           let _ = Giantsan_bugs.Scenario.run san sc in
           let c = san.Giantsan_sanitizer.Sanitizer.counters in
           match tool with
-          | Harness.Giantsan ->
+          | Harness.Giantsan | Harness.Cache_only | Harness.Elim_only ->
             c.Counters.fast_checks + c.Counters.slow_checks
             = c.Counters.region_checks
           | Harness.Asan | Harness.Asanmm ->
             c.Counters.fast_checks = 0 && c.Counters.slow_checks = 0
-          | Harness.Lfp ->
+          | Harness.Lfp | Harness.Native ->
             c.Counters.region_checks = 0
             && c.Counters.fast_checks = 0
             && c.Counters.slow_checks = 0

@@ -86,12 +86,12 @@ let test_figure8_asanmm () =
 
 let test_figure8_ablations () =
   let prog, _, _, xi, yj, _ = figure8 () in
-  let cache_only = Instrument.plan Instrument.Giantsan_cache_only prog in
+  let cache_only = Instrument.plan Instrument.Cache_only prog in
   Alcotest.(check bool) "CacheOnly: x[i] cached, not promoted" true
     (Plan.decision_of cache_only xi.Ast.acc_id = Plan.Cached);
   Alcotest.(check bool) "CacheOnly: y[j] cached" true
     (Plan.decision_of cache_only yj.Ast.acc_id = Plan.Cached);
-  let elim_only = Instrument.plan Instrument.Giantsan_elim_only prog in
+  let elim_only = Instrument.plan Instrument.Elim_only prog in
   Alcotest.(check bool) "ElimOnly: x[i] promoted" true
     (Plan.decision_of elim_only xi.Ast.acc_id = Plan.Eliminated);
   Alcotest.(check bool) "ElimOnly: y[j] plain (no cache)" true
@@ -203,7 +203,7 @@ let test_while_loop_cached () =
   let plan = Instrument.plan Instrument.Giantsan prog in
   Alcotest.(check bool) "while-loop access cached" true
     (Plan.decision_of plan acc.Ast.acc_id = Plan.Cached);
-  let plan_elim = Instrument.plan Instrument.Giantsan_elim_only prog in
+  let plan_elim = Instrument.plan Instrument.Elim_only prog in
   Alcotest.(check bool) "no cache in ElimOnly: plain" true
     (Plan.decision_of plan_elim acc.Ast.acc_id = Plan.Plain)
 

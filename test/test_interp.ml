@@ -36,7 +36,7 @@ let test_semantics_all_modes () =
     (fun (mode, make_san) ->
       let _, out = run_with mode make_san (sum_program ()) in
       Alcotest.(check int)
-        (Instrument.mode_name mode ^ " computes the same sum")
+        ((Giantsan_policy.Backend.row mode).display ^ " computes the same sum")
         4950 (Interp.var out "acc");
       Alcotest.(check (list string)) "no reports" []
         (List.map Report.to_string out.Interp.reports))
@@ -45,8 +45,8 @@ let test_semantics_all_modes () =
       (Instrument.Asan, Helpers.asan ?config:None);
       (Instrument.Asanmm, fun () -> Giantsan_asan.Asan_runtime.create_named "ASan--" Helpers.mid_config);
       (Instrument.Giantsan, Helpers.giantsan ?config:None);
-      (Instrument.Giantsan_cache_only, Helpers.giantsan ?config:None);
-      (Instrument.Giantsan_elim_only, Helpers.giantsan ?config:None);
+      (Instrument.Cache_only, Helpers.giantsan ?config:None);
+      (Instrument.Elim_only, Helpers.giantsan ?config:None);
     ]
 
 let test_check_counts_figure8_style () =
@@ -87,8 +87,8 @@ let test_overflow_detected_by_all_sanitizers () =
     [
       (Instrument.Asan, Helpers.asan ?config:None, "ASan");
       (Instrument.Giantsan, Helpers.giantsan ?config:None, "GiantSan");
-      (Instrument.Giantsan_cache_only, Helpers.giantsan ?config:None, "CacheOnly");
-      (Instrument.Giantsan_elim_only, Helpers.giantsan ?config:None, "ElimOnly");
+      (Instrument.Cache_only, Helpers.giantsan ?config:None, "CacheOnly");
+      (Instrument.Elim_only, Helpers.giantsan ?config:None, "ElimOnly");
     ]
 
 let test_native_does_not_detect () =

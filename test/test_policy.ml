@@ -290,6 +290,88 @@ let test_tenant_backend_event_recorded () =
        (fun l -> Helpers.contains l "\"ev\":\"tenant_backend\"")
        lines)
 
+(* ------------------------------------------------------------------ *)
+(* The backend registry                                                *)
+(* ------------------------------------------------------------------ *)
+
+module San = Giantsan_sanitizer.Sanitizer
+module Runner = Giantsan_workload.Runner
+module Harness = Giantsan_bugs.Harness
+
+let test_registry_rows () =
+  Alcotest.(check (list string)) "one row per configuration, Table 2 order"
+    [ "native"; "giantsan"; "asan"; "asan--"; "lfp"; "pac"; "cacheonly"; "elimonly" ]
+    (List.map (fun r -> r.Backend.name) Backend.rows);
+  List.iter
+    (fun (r : Backend.row) ->
+      Alcotest.(check bool) (r.Backend.name ^ " round-trips through find") true
+        (match Backend.find (" " ^ String.uppercase_ascii r.Backend.name) with
+        | Some r' -> r' == r
+        | None -> false);
+      Alcotest.(check bool) (r.Backend.name ^ " is its config's row") true
+        (Backend.row r.Backend.config == r);
+      let san, _ = r.Backend.create_exposed Helpers.small_config in
+      Alcotest.(check string) (r.Backend.name ^ " builds its display name")
+        r.Backend.display san.San.name;
+      Alcotest.(check string) (r.Backend.name ^ " via Runner") r.Backend.display
+        (Runner.make_sanitizer r.Backend.config).San.name)
+    Backend.rows;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Backend.name id ^ " round-trips through of_name")
+        true
+        (Backend.of_name (Backend.name id) = Some id))
+    Backend.all;
+  Alcotest.(check (option string)) "a variant row names no runtime" None
+    (Option.map Backend.name (Backend.of_name "asan--"))
+
+let test_registry_overhead_order () =
+  let ohs = List.map Backend.overhead Backend.all in
+  Alcotest.(check int) "five runtimes" 5 (List.length Backend.all);
+  Alcotest.(check (list (float 0.0))) "ascending and distinct"
+    (List.sort_uniq Float.compare ohs) ohs;
+  Alcotest.(check (list string)) "the policy ladder"
+    [ "native"; "giantsan"; "pac"; "lfp"; "asan" ]
+    (List.map Backend.name Backend.all)
+
+let test_registry_selections () =
+  let selection what labels configs =
+    Alcotest.(check (list string)) (what ^ " labels come from the rows") labels
+      (List.map (fun c -> (Backend.row c).Backend.label) configs);
+    Alcotest.(check int) (what ^ " has no duplicates") (List.length configs)
+      (List.length (List.sort_uniq compare configs))
+  in
+  selection "Harness.all_tools" [ "GiantSan"; "ASan"; "ASan--"; "LFP"; "PAC" ]
+    Harness.all_tools;
+  selection "Runner.all_configs"
+    [ "Native"; "GiantSan"; "ASan"; "ASan--"; "LFP"; "CacheOnly";
+      "EliminationOnly"; "PAC" ]
+    Runner.all_configs;
+  List.iter
+    (fun t ->
+      Alcotest.(check string) "tool_name is the row label"
+        (Backend.row t).Backend.label (Harness.tool_name t))
+    Harness.all_tools
+
+(* A literal copy of the DESIGN.md §5e detection-class matrix: editing a
+   registry row must not silently change the documented matrix. Columns
+   oob, uaf, uaf-realloc, double-free. *)
+let design_matrix =
+  [
+    (Backend.Giantsan, [ 2; 2; 0; 2 ]);
+    (Backend.Asan, [ 2; 2; 0; 2 ]);
+    (Backend.Lfp, [ 1; 1; 0; 1 ]);
+    (Backend.Pac, [ 2; 2; 2; 2 ]);
+    (Backend.Native, [ 0; 0; 0; 0 ]);
+  ]
+
+let test_registry_detection_matrix () =
+  List.iter
+    (fun (id, row) ->
+      Alcotest.(check (list int)) (Backend.name id ^ " detection row") row
+        (List.map (Backend.detection id) Backend.all_classes))
+    design_matrix
+
 let suite =
   ( "policy",
     [
@@ -314,4 +396,12 @@ let suite =
         test_downshift_run_is_deterministic;
       Helpers.qt "repartition records a tenant_backend event" `Quick
         test_tenant_backend_event_recorded;
+      Helpers.qt "registry: rows round-trip and build their names" `Quick
+        test_registry_rows;
+      Helpers.qt "registry: Backend.all ascends in overhead" `Quick
+        test_registry_overhead_order;
+      Helpers.qt "registry: tools and configs are row selections" `Quick
+        test_registry_selections;
+      Helpers.qt "registry: detection scores equal the DESIGN matrix" `Quick
+        test_registry_detection_matrix;
     ] )

@@ -311,6 +311,18 @@ let mk_profile ?(sim_ns = 5000.0) ?(ops = 100) ?(stores = 40) name config =
 
 let mk_doc profiles = Export.bench_json ~groups:[] ~profiles ()
 
+(* The baseline-comparison rules of the gate engine alone. *)
+let compare_bench ~baseline ~current =
+  let rules =
+    List.filter
+      (fun r -> r.Export.select = Export.Baseline_rows)
+      Export.gate_rules
+  in
+  match Export.check_bench ~rules ~baseline ~current () with
+  | Ok n -> Ok n
+  | Error (Export.Violations es) -> Error es
+  | Error (Export.Malformed e) -> Alcotest.failf "malformed input: %s" e
+
 let gate_ok = function
   | Ok n -> n
   | Error es -> Alcotest.fail (String.concat "; " es)
@@ -325,7 +337,7 @@ let test_gate_identical_passes =
         mk_doc [ mk_profile "seq" "giantsan"; mk_profile "churn" "asan" ]
       in
       let n =
-        gate_ok (Export.compare_bench ~tolerance:0.25 ~baseline:doc ~current:doc)
+        gate_ok (compare_bench ~baseline:doc ~current:doc)
       in
       Alcotest.(check int) "both rows compared" 2 n)
 
@@ -335,13 +347,13 @@ let test_gate_tolerates_small_ns_drift =
       let current = mk_doc [ mk_profile ~sim_ns:6000.0 "seq" "giantsan" ] in
       ignore
         (gate_ok
-           (Export.compare_bench ~tolerance:0.25 ~baseline ~current)))
+           (compare_bench ~baseline ~current)))
 
 let test_gate_rejects_ns_regression =
   Helpers.qt "gate: >tolerance ns/op regression fails" `Quick (fun () ->
       let baseline = mk_doc [ mk_profile ~sim_ns:5000.0 "seq" "giantsan" ] in
       let current = mk_doc [ mk_profile ~sim_ns:7000.0 "seq" "giantsan" ] in
-      match Export.compare_bench ~tolerance:0.25 ~baseline ~current with
+      match compare_bench ~baseline ~current with
       | Ok _ -> Alcotest.fail "40% regression passed the gate"
       | Error [ msg ] ->
           Alcotest.(check bool) "message names the row" true
@@ -357,7 +369,7 @@ let test_gate_rejects_large_improvement =
       let baseline = mk_doc [ mk_profile ~sim_ns:5000.0 "seq" "giantsan" ] in
       let current = mk_doc [ mk_profile ~sim_ns:2000.0 "seq" "giantsan" ] in
       let es =
-        gate_failures (Export.compare_bench ~tolerance:0.25 ~baseline ~current)
+        gate_failures (compare_bench ~baseline ~current)
       in
       Alcotest.(check bool) "suggests re-baselining" true
         (List.exists (fun m -> Helpers.contains m "re-baseline") es))
@@ -367,7 +379,7 @@ let test_gate_rejects_count_mismatch =
       let baseline = mk_doc [ mk_profile ~stores:40 "seq" "giantsan" ] in
       let current = mk_doc [ mk_profile ~stores:41 "seq" "giantsan" ] in
       let es =
-        gate_failures (Export.compare_bench ~tolerance:0.25 ~baseline ~current)
+        gate_failures (compare_bench ~baseline ~current)
       in
       Alcotest.(check bool) "names shadow_stores" true
         (List.exists (fun m -> Helpers.contains m "shadow_stores") es))
@@ -377,17 +389,133 @@ let test_gate_rejects_missing_rows =
       let both = [ mk_profile "seq" "giantsan"; mk_profile "churn" "asan" ] in
       let one = [ mk_profile "seq" "giantsan" ] in
       (match
-         Export.compare_bench ~tolerance:0.25 ~baseline:(mk_doc both)
+         compare_bench ~baseline:(mk_doc both)
            ~current:(mk_doc one)
        with
       | Ok _ -> Alcotest.fail "dropped row passed the gate"
       | Error _ -> ());
       match
-        Export.compare_bench ~tolerance:0.25 ~baseline:(mk_doc one)
+        compare_bench ~baseline:(mk_doc one)
           ~current:(mk_doc both)
       with
       | Ok _ -> Alcotest.fail "new unbaselined row passed the gate"
       | Error _ -> ())
+
+(* ------------------------------------------------------------------ *)
+(* Bench gate: one crafted document per fig11 / fuzzmode violation     *)
+(* ------------------------------------------------------------------ *)
+
+(* A document every gate rule accepts when gated against itself: GiantSan
+   reverse at 4 ns/op with 2/3 of its checks on the word path vs ASan at
+   8 ns/op, and a 10x persistent speedup on both fuzzed backends. The
+   knobs move one row each across a rule's threshold. *)
+let gate_doc ?(word = 20) ?(gs_rev = 400.0) ?(ps_gs = 1000.0)
+    ?(ps_stores = 40) ?(drop = fun _ -> false) () =
+  let row ?(sim_ns = 5000.0) ?(stores = 40) ?(word = 20) name config =
+    { (mk_profile ~sim_ns ~stores name config) with Export.bp_word_checks = word }
+  in
+  mk_doc
+    (List.filter
+       (fun p -> not (drop p))
+       [
+         row ~sim_ns:gs_rev ~word "fig11.reverse-16KiB" "giantsan";
+         row ~sim_ns:800.0 "fig11.reverse-16KiB" "asan";
+         row ~sim_ns:10000.0 "fuzzmode.rebuild" "giantsan";
+         row ~sim_ns:ps_gs ~stores:ps_stores "fuzzmode.persistent" "giantsan";
+         row ~sim_ns:10000.0 "fuzzmode.rebuild" "asan";
+         row ~sim_ns:1000.0 "fuzzmode.persistent" "asan";
+       ])
+
+let gate_self doc = Export.check_bench ~baseline:doc ~current:doc ()
+
+let gate_violation what doc needle =
+  match gate_self doc with
+  | Ok _ -> Alcotest.failf "%s passed the gate" what
+  | Error (Export.Malformed e) -> Alcotest.failf "%s read as malformed: %s" what e
+  | Error (Export.Violations es) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: a violation names %S" what needle)
+      true
+      (List.exists (fun m -> Helpers.contains m needle) es)
+
+let test_gate_doc_passes =
+  Helpers.qt "bench gate: the crafted document passes every rule" `Quick
+    (fun () ->
+      match gate_self (gate_doc ()) with
+      | Ok n -> Alcotest.(check bool) "row pairs judged" true (n > 6)
+      | Error (Export.Malformed e) -> Alcotest.fail e
+      | Error (Export.Violations es) -> Alcotest.fail (String.concat "; " es))
+
+let test_gate_word_ratio_floor =
+  Helpers.qt "bench gate: reverse word-path ratio below 0.5 fails" `Quick
+    (fun () ->
+      (* 15 of 30 sits on the floor and passes; 14 of 30 is below it *)
+      (match gate_self (gate_doc ~word:15 ()) with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "ratio 0.5 is on the floor, not below it");
+      gate_violation "ratio 14/30" (gate_doc ~word:14 ()) "word-path ratio")
+
+let test_gate_giantsan_slower_than_asan =
+  Helpers.qt "bench gate: GiantSan reverse slower than ASan fails" `Quick
+    (fun () ->
+      gate_violation "GiantSan 8.01 ns/op vs ASan 8" (gate_doc ~gs_rev:801.0 ())
+        "slower than ASan")
+
+let test_gate_mode_counts_differ =
+  Helpers.qt "bench gate: fuzzmode event counts must match exactly" `Quick
+    (fun () ->
+      gate_violation "one extra persistent store" (gate_doc ~ps_stores:41 ())
+        "event counts differ")
+
+let test_gate_persistent_slower =
+  Helpers.qt "bench gate: persistent slower than rebuild fails" `Quick
+    (fun () ->
+      gate_violation "persistent 101 vs rebuild 100 ns/exec"
+        (gate_doc ~ps_gs:10100.0 ()) "slower than rebuild")
+
+let test_gate_speedup_floor =
+  Helpers.qt "bench gate: giantsan speedup below 5x fails" `Quick (fun () ->
+      (match gate_self (gate_doc ~ps_gs:2000.0 ()) with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "a 5.00x speedup is on the floor");
+      gate_violation "4.98x" (gate_doc ~ps_gs:2010.0 ()) "below the 5.00x floor")
+
+let test_gate_missing_rows_malformed =
+  Helpers.qt "bench gate: missing required rows are malformed input" `Quick
+    (fun () ->
+      let malformed what doc =
+        match gate_self doc with
+        | Error (Export.Malformed _) -> ()
+        | Ok _ -> Alcotest.failf "%s passed the gate" what
+        | Error (Export.Violations _) ->
+          Alcotest.failf "%s read as a violation, not malformed input" what
+      in
+      let row profile config (p : Export.bench_profile) =
+        p.Export.bp_profile = profile && p.Export.bp_config = config
+      in
+      malformed "no fig11 asan row"
+        (gate_doc ~drop:(row "fig11.reverse-16KiB" "asan") ());
+      malformed "no giantsan persistent row"
+        (gate_doc ~drop:(row "fuzzmode.persistent" "giantsan") ());
+      malformed "not JSON" "{\"profiles\": [";
+      (* a fuzzed backend other than giantsan with one mode row is a
+         violation of the mode rules, not missing input *)
+      gate_violation "asan without a persistent row"
+        (gate_doc ~drop:(row "fuzzmode.persistent" "asan") ())
+        "missing one of its two mode rows")
+
+let test_gate_tolerance_bound =
+  Helpers.qt "bench gate: ns/op tolerance is exactly 25% both ways" `Quick
+    (fun () ->
+      let drift sim_ns =
+        compare_bench
+          ~baseline:(mk_doc [ mk_profile ~sim_ns:5000.0 "seq" "giantsan" ])
+          ~current:(mk_doc [ mk_profile ~sim_ns "seq" "giantsan" ])
+      in
+      ignore (gate_ok (drift 6250.0));
+      ignore (gate_ok (drift 3750.0));
+      ignore (gate_failures (drift 6300.0));
+      ignore (gate_failures (drift 3700.0)))
 
 (* ------------------------------------------------------------------ *)
 (* Quantile readouts vs the sorted-array oracle                        *)
@@ -699,4 +827,12 @@ let suite =
       (* Appended after the existing cases so their indices stay stable. *)
       test_gate_balanced;
       test_spawned_domain_emits_nothing;
+      test_gate_doc_passes;
+      test_gate_word_ratio_floor;
+      test_gate_giantsan_slower_than_asan;
+      test_gate_mode_counts_differ;
+      test_gate_persistent_slower;
+      test_gate_speedup_floor;
+      test_gate_missing_rows_malformed;
+      test_gate_tolerance_bound;
     ] )
