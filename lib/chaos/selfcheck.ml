@@ -25,20 +25,20 @@ type mismatch = {
    about what "correct" means; this module only supplies the oracle-side
    ownership lookup. Any divergence — injected or organic — is a
    corruption, because no legal operation sequence can produce it. *)
-let expected_code heap seg =
-  let oracle = Memsim.Heap.oracle heap in
-  match Memsim.Oracle.owner oracle (seg * 8) with
+let code_of_owner slot seg =
+  match slot with
   | None -> State_code.unallocated
-  | Some obj -> (
-    match obj.Memobj.status with
-    | Memobj.Recycled ->
-      (* recycled blocks have their owner cleared; a stale owner here would
-         itself be an oracle bug, surfaced as a mismatch *)
-      State_code.unallocated
-    | (Memobj.Live | Memobj.Quarantined) as st ->
-      Giantsan_spec.Model.code_in_object
-        ~live:(st = Memobj.Live)
-        ~kind:obj.Memobj.kind ~base:obj.Memobj.base ~size:obj.Memobj.size seg)
+  | Some { Memobj.status = Memobj.Recycled; _ } ->
+    (* recycled blocks have their owner cleared; a stale owner here would
+       itself be an oracle bug, surfaced as a mismatch *)
+    State_code.unallocated
+  | Some ({ Memobj.status = (Memobj.Live | Memobj.Quarantined) as st; _ } as obj) ->
+    Giantsan_spec.Model.code_in_object
+      ~live:(st = Memobj.Live)
+      ~kind:obj.Memobj.kind ~base:obj.Memobj.base ~size:obj.Memobj.size seg
+
+let expected_code heap seg =
+  code_of_owner (Memsim.Oracle.owner (Memsim.Heap.oracle heap) (seg * 8)) seg
 
 let classify ~expected ~actual =
   let ea = State_code.addressable_in_segment expected
@@ -49,25 +49,44 @@ let classify ~expected ~actual =
   else if aa < ea || ac < ec then Underclaim
   else Drift
 
+(* [acc] with segment [seg] prepended if its shadow byte is not [expected]. *)
+let compare_lane shadow seg expected acc =
+  let actual = Shadow_mem.peek shadow seg in
+  if actual = expected then acc
+  else { seg; expected; actual; cls = classify ~expected ~actual } :: acc
+
+(* Word-wide walk, high to low so the mismatch list comes out ascending.
+   Most of an arena is unowned, and an unowned word is passed on two
+   in-place queries: no segment of it has an owner, and its shadow word is
+   eight [unallocated] bytes. Every other word — owned, failing the
+   compare, or the arena's final partial word — is compared lane by lane,
+   fetching the owner once per run of its segments that share one. The
+   reads are uncounted: the self-check is an out-of-band audit and must not
+   perturb the event-count-derived cost model. Nothing is allocated unless
+   a mismatch is found. *)
 let run ~heap ~shadow =
+  let oracle = Memsim.Heap.oracle heap in
   let n = Shadow_mem.segments shadow in
   let out = ref [] in
-  (* word-wide walk, high to low so the mismatch list comes out ascending.
-     peek_word, not load_word: the self-check is an out-of-band audit and
-     must not perturb the event-count-derived cost model. *)
   let word_lo = ref (((n - 1) / 8) * 8) in
   while !word_lo >= 0 do
-    let w = Shadow_mem.peek_word shadow !word_lo in
-    let lanes = min 8 (n - !word_lo) in
-    for k = lanes - 1 downto 0 do
-      let seg = !word_lo + k in
-      let expected = expected_code heap seg in
-      let actual = Shadow_mem.word_byte w k in
-      if actual <> expected then
-        out :=
-          { seg; expected; actual; cls = classify ~expected ~actual } :: !out
-    done;
-    word_lo := !word_lo - 8
+    let p = !word_lo in
+    if
+      not
+        (Shadow_mem.word_is shadow p State_code.unallocated
+        && Memsim.Oracle.word_unowned oracle p)
+    then begin
+      let top = ref (Int.min n (p + 8) - 1) in
+      while !top >= p do
+        let first = Memsim.Oracle.owner_run_start oracle ~lo:p !top in
+        let slot = Memsim.Oracle.owner oracle (!top * 8) in
+        for seg = !top downto first do
+          out := compare_lane shadow seg (code_of_owner slot seg) !out
+        done;
+        top := first - 1
+      done
+    end;
+    word_lo := p - 8
   done;
   !out
 

@@ -37,8 +37,15 @@ val run :
   heap:Giantsan_memsim.Heap.t ->
   shadow:Giantsan_shadow.Shadow_mem.t ->
   mismatch list
-(** Full-arena byte-exact audit, in segment order. Reads the shadow with
-    uncounted [peek]s so the audit never perturbs the event-count-derived
-    cost model. Empty = shadow provably consistent with ground truth. *)
+(** Full-arena byte-exact audit, in segment order. Every segment is
+    compared. The walk goes a shadow word (8 segments) at a time: a word
+    with no owner whose shadow reads eight [unallocated] bytes passes on
+    two in-place queries; any other word is compared lane by lane against
+    {!Giantsan_spec.Model.code_in_object}, one owner fetch per run of
+    segments sharing an owner. The result equals comparing every segment
+    [seg] with [expected_code heap seg]. Reads are uncounted so the audit
+    never perturbs the event-count-derived cost model, and nothing is
+    allocated unless a mismatch is found. Empty = shadow provably
+    consistent with ground truth. *)
 
 val mismatch_to_string : mismatch -> string

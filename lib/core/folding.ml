@@ -4,7 +4,7 @@ module Memobj = Giantsan_memsim.Memobj
 
 let degree_at ~good_segments =
   assert (good_segments >= 1);
-  min (Bitops.log2_floor good_segments) State_code.max_degree
+  Int.min (Bitops.log2_floor good_segments) State_code.max_degree
 
 (* Scheduled fault plan for the poison kernels. Domain-local so parallel
    chaos cells can each arm their own fault without racing: a worker domain

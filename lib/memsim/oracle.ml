@@ -60,6 +60,32 @@ let owner t addr =
   check t addr (addr + 1);
   t.owners.(addr / 8)
 
+(* Eight unchecked loads and no closure: the self-check asks this once per
+   shadow word of every audit, and it must allocate nothing. *)
+let[@inline] word_unowned t seg =
+  let o = t.owners in
+  seg >= 0
+  && seg + 8 <= Array.length o
+  && Array.unsafe_get o seg == None
+  && Array.unsafe_get o (seg + 1) == None
+  && Array.unsafe_get o (seg + 2) == None
+  && Array.unsafe_get o (seg + 3) == None
+  && Array.unsafe_get o (seg + 4) == None
+  && Array.unsafe_get o (seg + 5) == None
+  && Array.unsafe_get o (seg + 6) == None
+  && Array.unsafe_get o (seg + 7) == None
+
+let owner_run_start t ~lo seg =
+  if lo < 0 || seg < lo || seg >= Array.length t.owners then
+    invalid_arg (Printf.sprintf "Oracle: bad segment run [%d, %d]" lo seg);
+  let o = t.owners in
+  let slot = Array.unsafe_get o seg in
+  let s = ref seg in
+  while !s > lo && Array.unsafe_get o (!s - 1) == slot do
+    decr s
+  done;
+  !s
+
 let fold_owners t f acc =
   Array.fold_left
     (fun acc slot -> match slot with Some o -> f acc o | None -> acc)

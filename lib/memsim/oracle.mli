@@ -31,6 +31,18 @@ val set_owner : t -> lo:int -> hi:int -> Memobj.t option -> unit
 val owner : t -> int -> Memobj.t option
 (** The object whose block covers [addr], if any. *)
 
+val word_unowned : t -> int -> bool
+(** [word_unowned t seg]: segments [seg, seg + 8) all lie in the arena and
+    none has an owner — the 8-owner query of the shadow self-check's
+    word-wide walk. Allocates nothing. *)
+
+val owner_run_start : t -> lo:int -> int -> int
+(** [owner_run_start t ~lo seg]: the lowest [s >= lo] such that segments
+    [s, seg] all share segment [seg]'s owner slot (all unowned, or all
+    owned by the same allocation) — so a caller fetches the owner once per
+    run instead of once per segment. Requires [0 <= lo <= seg] and [seg]
+    inside the arena. Allocates nothing. *)
+
 val fold_owners : t -> ('a -> Memobj.t -> 'a) -> 'a -> 'a
 (** Fold over every owner slot holding an object, segment order. An object
     spanning k segments is visited k times — callers dedupe by id (the heap

@@ -36,7 +36,9 @@ let default_key = 0x5bd1e995
 let create ?(key = default_key) () =
   { key; sigs = Hashtbl.create 64; next_salt = 1; signs = 0; auths = 0 }
 
-let mix64 z =
+(* Inlined into [compute], so its [int64]s stay unboxed: authentication
+   recomputes a PAC on every checked access and must allocate nothing. *)
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -87,14 +89,16 @@ let authenticate t ptr ~base =
     if got = expected && e.pac = expected then Ok (strip ptr)
     else Error (Forged { expected; got = (if got <> expected then got else e.pac) })
 
+(* [Hashtbl.find], not [find_opt], and [None] for success: the untagged
+   adapter calls this on every checked access, and a live, un-forged
+   signature must cost no allocation. *)
 let check t ~base =
   t.auths <- t.auths + 1;
-  match Hashtbl.find_opt t.sigs base with
-  | None -> Error Stale
-  | Some e ->
+  match Hashtbl.find t.sigs base with
+  | exception Not_found -> Some Stale
+  | e ->
     let expected = compute t ~base ~salt:e.salt in
-    if e.pac = expected then Ok e.pac
-    else Error (Forged { expected; got = e.pac })
+    if e.pac = expected then None else Some (Forged { expected; got = e.pac })
 
 let release t ~base =
   if Hashtbl.mem t.sigs base then begin
@@ -107,7 +111,6 @@ let release t ~base =
 let has t ~base = Hashtbl.mem t.sigs base
 let salt_of t ~base = Option.map (fun e -> e.salt) (Hashtbl.find_opt t.sigs base)
 let pac_of t ~base = Option.map (fun e -> e.pac) (Hashtbl.find_opt t.sigs base)
-let live t = Hashtbl.length t.sigs
 let signs t = t.signs
 let auths t = t.auths
 

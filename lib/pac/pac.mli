@@ -77,10 +77,10 @@ val authenticate : t -> int -> base:int -> (int, failure) result
     stored salt rather than trusted, so signature-table corruption (the
     tag-forge chaos plane) is caught too. Counts one metadata load. *)
 
-val check : t -> base:int -> (int, failure) result
+val check : t -> base:int -> failure option
 (** Authentication for the untagged adapter path: does [base] hold a
-    live, un-forged signature? [Ok pac] on success. Counts one metadata
-    load. *)
+    live, un-forged signature? [None] on success, which allocates nothing.
+    Counts one metadata load. *)
 
 val release : t -> base:int -> bool
 (** Strip on free: remove [base]'s signature (true if one was live).
@@ -89,9 +89,6 @@ val release : t -> base:int -> bool
 val has : t -> base:int -> bool
 val salt_of : t -> base:int -> int option
 val pac_of : t -> base:int -> int option
-
-val live : t -> int
-(** Number of live signatures. *)
 
 val signs : t -> int
 (** Metadata stores so far (sign + strip). *)

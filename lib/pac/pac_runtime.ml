@@ -89,8 +89,8 @@ let create_exposed ?key config =
           report ~base ~addr:lo ~size:(hi - lo) ()
         else (
           match Pac.check pac ~base with
-          | Error _ -> report_forged ~addr:lo ~size:(hi - lo)
-          | Ok _ ->
+          | Some _ -> report_forged ~addr:lo ~size:(hi - lo)
+          | None ->
             let b_hi = base + obj.Memsim.Memobj.size in
             if lo < base || hi > b_hi then
               report ~base

@@ -72,10 +72,20 @@ let load_word t p =
   count_word_load t p;
   word_of_bytes t p
 
-(* Uncounted word fetch: the audit/dump twin of [peek]. Selfcheck and
-   shadow dumps walk the whole arena; charging those scans would swamp the
-   workload's own counters. *)
+(* Uncounted word fetch: the audit/dump twin of [peek]. The refinement
+   harness and shadow dumps walk the whole arena; charging those scans would
+   swamp the workload's own counters. *)
 let peek_word t p = word_of_bytes t p
+
+(* The raw native-endian 64-bit fetch, bounds unchecked: a primitive, so its
+   [int64] never leaves this function boxed. The pattern compared against
+   is one byte repeated, which reads the same in either byte order. *)
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let[@inline] word_is t p v =
+  p >= 0
+  && p + 8 <= Bytes.length t.bytes
+  && Int64.equal (unsafe_get64 t.bytes p) (Int64.mul 0x0101010101010101L (Int64.of_int v))
 
 let word_byte w k = Int64.to_int (Int64.logand (Int64.shift_right_logical w (8 * k)) 0xFFL)
 

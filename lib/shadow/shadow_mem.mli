@@ -40,8 +40,13 @@ val count_word_load : t -> int -> unit
     is lane [k]), so that no [int64] is boxed on its path. *)
 
 val peek_word : t -> int -> int64
-(** Like [load_word] but uncounted — for audits (selfcheck) and dumps whose
-    whole-arena scans must not perturb the workload's cost model. *)
+(** Like [load_word] but uncounted — for the refinement harness and dumps,
+    whose whole-arena scans must not perturb the workload's cost model. *)
+
+val word_is : t -> int -> int -> bool
+(** [word_is m p v]: segments [p, p + 8) all lie in the arena and all hold
+    [v] (0..255). One uncounted in-place 64-bit compare, nothing boxed — the
+    self-check's test for a word it can pass without looking at its lanes. *)
 
 val word_byte : int64 -> int -> int
 (** [word_byte w k] extracts lane [k] (0..7) of a shadow word: the state

@@ -1,20 +1,23 @@
-(* The check path allocates nothing. With tracing off and after one warm-up
-   pass, every call below must allocate exactly 0 minor words:
+(* The check path and the shadow self-check allocate nothing. With tracing
+   off and after one warm-up pass, every call below must allocate exactly
+   0 minor words:
    - [cached_access] over full forward, random and reverse passes of a
      16 KiB buffer, each on a fresh cache so the history misses and
      refreshes are part of the measured pass, each closed by
      [flush_cache];
    - [access] over the forward and random offsets;
-   - [check_region] over regions of 1 byte to 16 KiB.
-   GiantSan, ASan and LFP are covered. PAC is left out: its checks still
-   allocate 16 words per access (a [Hashtbl.find_opt] of the pointer's tag,
-   plus the [result] and option boxes of the authentication step). *)
+   - [check_region] over regions of 1 byte to 16 KiB;
+   - [Selfcheck.run] over a consistent 256 KiB GiantSan tenant heap after
+     a serve-like mix of allocations and frees.
+   The check path is covered under GiantSan, ASan, LFP and PAC. *)
 
 module San = Giantsan_sanitizer.Sanitizer
 module Counters = Giantsan_sanitizer.Counters
 module Memsim = Giantsan_memsim
 module Trace = Giantsan_telemetry.Trace
 module Rng = Giantsan_util.Rng
+module Selfcheck = Giantsan_chaos.Selfcheck
+module Tenant = Giantsan_service.Tenant
 
 let size = 16384
 let n = size / 8
@@ -104,6 +107,30 @@ let test_measure_has_teeth =
       let words = words_of (fun () -> ignore (Sys.opaque_identity (ref 0))) in
       Alcotest.(check bool) "one ref is counted" true (words > 0.0))
 
+(* The serve tenant's heap after a long alloc/free mix like its request
+   stream's: 16 slots, 16- to 248-byte objects, freed blocks passing
+   through the 16 KiB quarantine. *)
+let test_selfcheck_allocates_nothing =
+  Helpers.qt "GiantSan: shadow self-check allocates nothing" `Quick (fun () ->
+      Trace.disable ();
+      let san, shadow = Giantsan_core.Gs_runtime.create_exposed Tenant.default_config.Tenant.heap in
+      let rng = Rng.create 5 and slots = Array.make 16 None in
+      for _ = 1 to 4000 do
+        let s = Rng.int rng 16 in
+        match slots.(s) with
+        | None -> slots.(s) <- Some (san.San.malloc (16 + (8 * Rng.int rng 30))).Memsim.Memobj.base
+        | Some base ->
+          ignore (san.San.free base);
+          slots.(s) <- None
+      done;
+      let audit () =
+        match Selfcheck.run ~heap:san.San.heap ~shadow with
+        | [] -> ()
+        | m :: _ -> Alcotest.failf "inconsistent heap: %s" (Selfcheck.mismatch_to_string m)
+      in
+      audit ();
+      check_zero "Selfcheck.run" (words_of audit))
+
 let suite =
   ( "alloc",
     [
@@ -111,4 +138,6 @@ let suite =
       backend_allocates_nothing "GiantSan" (fun () -> Helpers.giantsan ());
       backend_allocates_nothing "ASan" (fun () -> Helpers.asan ());
       backend_allocates_nothing "LFP" (fun () -> Helpers.lfp ());
+      backend_allocates_nothing "PAC" (fun () -> Giantsan_pac.Pac_runtime.create Helpers.mid_config);
+      test_selfcheck_allocates_nothing;
     ] )
