@@ -4,7 +4,8 @@
 # the sharded-execution determinism gate (serial vs --jobs NDJSON diff),
 # the bench gate's rule table against the committed bench baseline — run
 # once more under --jobs 2 to prove the parallel engine reproduces the
-# same event counts — and the wall-clock benchmark's self-test.
+# same event counts — a serve scaling check (--jobs 2 no slower than
+# --jobs 1) and the wall-clock benchmark's self-test.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -261,6 +262,36 @@ assert_exit 0 dune exec bin/main.exe -- serve --seed 7 --tenants 4 \
 assert_exit 2 dune exec bin/main.exe -- serve --policy budget=0.5
 assert_exit 2 dune exec bin/main.exe -- serve --policy speed=11
 echo "policy downshifts pinned, byte-identical across jobs, exits 1/0/2"
+
+echo "== serve pool scaling (--jobs 2 vs --jobs 1, real clock) =="
+# Loop.run keeps one pool of domains for the whole run, so a second domain
+# must not make the service slower. Five interleaved pairs of 64-tenant,
+# 256-tick real-clock runs; the --jobs 2 median wall time may exceed the
+# --jobs 1 median by at most 10%, the noise band allowed for run-to-run
+# jitter on a shared host. Needs two cores to mean anything.
+if [ "$(nproc)" -lt 2 ]; then
+  echo "notice: nproc < 2, serve pool scaling skipped"
+else
+  serve_exe=_build/default/bin/main.exe
+  : > "$tmpdir/serve_wall_j1"
+  : > "$tmpdir/serve_wall_j2"
+  for _ in 1 2 3 4 5; do
+    for j in 1 2; do
+      t0=$(date +%s%N)
+      "$serve_exe" serve --tenants 64 --real-clock --duration 256 --jobs "$j" \
+        > /dev/null 2>&1
+      t1=$(date +%s%N)
+      echo $((t1 - t0)) >> "$tmpdir/serve_wall_j$j"
+    done
+  done
+  m1=$(sort -n "$tmpdir/serve_wall_j1" | sed -n 3p)
+  m2=$(sort -n "$tmpdir/serve_wall_j2" | sed -n 3p)
+  echo "median wall time: --jobs 1 $((m1 / 1000000)) ms, --jobs 2 $((m2 / 1000000)) ms"
+  if [ $((m2 * 100)) -gt $((m1 * 110)) ]; then
+    echo "FAIL: serve --jobs 2 is more than 10% slower than --jobs 1" >&2
+    exit 1
+  fi
+fi
 
 echo "== bench gate (vs BENCH_giantsan.json baseline, serial and --jobs 2) =="
 # One engine, one rule table (lib/telemetry/export.ml, gate_rules), run

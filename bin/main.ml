@@ -57,9 +57,9 @@ let quick_flag =
 
 let jobs_arg =
   let doc =
-    "Shard the parallelizable work across $(docv) domains (0 = one per \
-     recommended core). Results are byte-identical for every value; only \
-     wall-clock changes."
+    "Shard the parallelizable work across $(docv) domains, the calling one \
+     included (0 = one per recommended core). Results are byte-identical \
+     for every value; only wall-clock changes."
   in
   let resolve n =
     if n <= 0 then Giantsan_parallel.Pool.default_jobs () else n
@@ -72,8 +72,9 @@ let jobs_arg =
    subcommands whose whole point is the parallel sweep *)
 let jobs_default_parallel =
   let doc =
-    "Domain-pool size (0 = one per recommended core). Results are \
-     byte-identical for every value; only wall-clock changes."
+    "Domain-pool size, the calling domain included (0 = one per \
+     recommended core). Results are byte-identical for every value; only \
+     wall-clock changes."
   in
   let resolve n =
     if n <= 0 then Giantsan_parallel.Pool.default_jobs () else n

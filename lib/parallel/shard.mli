@@ -9,7 +9,7 @@
     events either).
 
     What crosses domains is only the immutable result and the captured
-    event list, both published at [Domain.join]. *)
+    event list, both published by the pool's end-of-batch hand-off. *)
 
 type 'a traced = {
   t_result : 'a;

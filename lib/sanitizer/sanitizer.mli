@@ -139,8 +139,8 @@ val free_error_report :
     Registration from worker domains is mutex-protected (the cell list is
     the only cross-domain shared state in the system); [enable]/[disable]
     follow the initialized-before-fork discipline — flip them only while no
-    worker domain is running, and call [snapshot] only once workers have
-    been joined (the retained counter records are the runtimes' live,
+    pool batch is running, and call [snapshot] only once the batch has
+    finished (the retained counter records are the runtimes' live,
     unsynchronised ones). Aggregation is commutative and the result sorted,
     so a parallel run snapshots exactly what the serial run would. *)
 module Registry : sig

@@ -172,6 +172,9 @@ let run ?progress cfg =
      delta against these *)
   let last_ops = Array.make cfg.tenants 0 in
   let last_shed = Array.make cfg.tenants 0 in
+  (* one pool for the whole run: its helper domains are spawned here, once,
+     and parked between ticks; they are joined when the run returns *)
+  Pool.with_pool ~jobs:cfg.jobs @@ fun pool ->
   for tick = 0 to cfg.ticks - 1 do
     (* 1. arrivals (serial; private arrival streams) *)
     Array.iter (fun t -> Tenant.tick_arrivals t ~mean:cfg.arrival_mean) tenants;
@@ -191,7 +194,7 @@ let run ?progress cfg =
           Tenant.run_quantum t ~max_ops:q)
         tenants
     in
-    ignore (Pool.run ~jobs:cfg.jobs tasks);
+    ignore (Pool.run_in pool tasks);
     (* 3. control plane, serial, tenant-id order *)
     (match cfg.chaos with
     | Some (victim, fault, at_tick)

@@ -71,6 +71,14 @@ let with_capture ?(capacity = default_capacity) f =
       let r = f () in
       (r, Ring.to_seq_list s.buf))
 
+let paused f =
+  let s = live_sink () in
+  if not s.on then f ()
+  else begin
+    set_on s false;
+    Fun.protect ~finally:(fun () -> set_on s true) f
+  end
+
 (* Each emitter checks the switch before constructing the event, so the
    disabled path performs no allocation; with no domain tracing it is one
    atomic load and a branch. *)

@@ -12,7 +12,8 @@
     {b Concurrency.} The sink lives in domain-local storage
     ([Domain.DLS]): every function below reads and mutates only the calling
     domain's switch and ring. A freshly spawned domain starts with tracing
-    off, so worker domains emit nothing until they opt in — the parallel
+    off, so worker domains emit nothing until they opt in, and a pool's
+    calling domain runs its share of tasks under [paused] — the parallel
     engine ({!Giantsan_parallel.Shard}) wraps each shard in [with_capture]
     to give it a private ring, and merges the captured event lists
     deterministically afterwards. Apart from the atomic gate below, nothing
@@ -53,6 +54,12 @@ val with_capture : ?capacity:int -> (unit -> 'a) -> 'a * (int * Event.t) list
     previous sink state afterwards (even on exceptions), and return the
     thunk's result with the captured events. Per-domain, like everything
     else here: captures on different domains never interleave. *)
+
+val paused : (unit -> 'a) -> 'a
+(** Run the thunk with the calling domain's switch off, and turn it back
+    on afterwards (even on exceptions) if it was on: nothing the thunk
+    emits is recorded, and the ring keeps what it held. With the switch
+    already off this is just the call. *)
 
 (** {1 Emission points} — free functions so call sites stay one line. *)
 

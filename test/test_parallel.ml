@@ -249,10 +249,11 @@ let test_concurrent_sweeps () =
         true (got = expected))
     both
 
-(* The service loop calls Pool.run once per tick, thousands of times per
-   process: the pool must behave identically on the 1st and the 500th
-   cycle — results in order, failures still deterministic, and no state
-   (poison flag, DLS trace sinks) leaking from one cycle into the next. *)
+(* Pool.run makes a fresh pool per call, and callers such as the chaos
+   engine and the sweeps call it thousands of times per process: it must
+   behave identically on the 1st and the 500th cycle — results in order,
+   failures still deterministic, and no state (poison flag, DLS trace
+   sinks) leaking from one cycle into the next. *)
 let test_pool_long_lived_reuse () =
   let cycles = 500 in
   for cycle = 0 to cycles - 1 do
@@ -280,6 +281,97 @@ let test_pool_long_lived_reuse () =
   Alcotest.(check int) "no trace events leaked" 0
     (List.length (Trace.events ()))
 
+(* The service loop's shape: one pool, many batches. Sizes cycle through
+   0 and 1 (inline) and up to 9 tasks on three domains; every 16th batch
+   is poisoned at two indices and the batch after it must come back
+   clean. *)
+let test_pool_many_batches () =
+  Pool.with_pool ~jobs:3 (fun p ->
+      for batch = 0 to 499 do
+        let n = batch mod 10 in
+        let got = Pool.run_in p (Array.init n (fun i () -> (batch * 31) + i)) in
+        Alcotest.(check (array int))
+          (Printf.sprintf "batch %d results" batch)
+          (Array.init n (fun i -> (batch * 31) + i))
+          got;
+        if batch mod 16 = 0 then
+          match
+            Pool.run_in p
+              (Array.init 12 (fun i () ->
+                   if i = 9 || i = 4 then raise (Boom i) else i))
+          with
+          | _ -> Alcotest.fail "expected Boom"
+          | exception Boom i ->
+            Alcotest.(check int)
+              (Printf.sprintf "batch %d lowest failure" batch)
+              4 i
+      done)
+
+(* A helper leaked on the raise path of with_pool would stay alive; 200 of
+   them exceed OCaml's 128-domain limit and Domain.spawn fails. *)
+let test_pool_joins_on_raise () =
+  for k = 0 to 199 do
+    match
+      Pool.with_pool ~jobs:2 (fun p ->
+          ignore (Pool.run_in p (Array.init 4 (fun i () -> i)));
+          raise (Boom k))
+    with
+    | () -> Alcotest.fail "expected Boom"
+    | exception Boom j -> Alcotest.(check int) "body's exception" k j
+  done
+
+(* Two tasks that each wait until both have started: with two domains in
+   the pool, neither domain can take both, so the batch runs one task on
+   the caller and one on the helper. *)
+let rendezvous () =
+  let arrived = Atomic.make 0 in
+  fun () ->
+    Atomic.incr arrived;
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    if Atomic.get arrived < 2 then Alcotest.fail "rendezvous timed out"
+
+(* A helper's domain-local state outlives the batch, so a fault plan a
+   task arms with Folding.with_fault must be gone again — on the return
+   and on the raise path — by the time the helper takes its next task. *)
+let test_pool_helper_fault_cell () =
+  let module Folding = Giantsan_core.Folding in
+  let armed = Some (Folding.Overstate_last 1) in
+  Pool.with_pool ~jobs:2 (fun p ->
+      let meet = rendezvous () in
+      let inside =
+        Pool.run_in p
+          (Array.make 2 (fun () ->
+               Folding.with_fault armed (fun () ->
+                   meet ();
+                   Folding.current_fault ())))
+      in
+      Alcotest.(check bool) "armed inside the task" true
+        (Array.for_all (fun f -> f = armed) inside);
+      let meet = rendezvous () in
+      (match
+         Pool.run_in p
+           (Array.make 2 (fun () ->
+                Folding.with_fault armed (fun () ->
+                    meet ();
+                    raise (Boom 0))))
+       with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom 0 -> ());
+      let meet = rendezvous () in
+      let after =
+        Pool.run_in p
+          (Array.make 2 (fun () ->
+               meet ();
+               (Domain.self (), Folding.current_fault ())))
+      in
+      Alcotest.(check bool) "ran on the caller and on the helper" true
+        (fst after.(0) <> fst after.(1));
+      Alcotest.(check bool) "fault cell back to None on both domains" true
+        (Array.for_all (fun (_, f) -> f = None) after))
+
 let suite =
   ( "parallel",
     [
@@ -298,4 +390,10 @@ let suite =
         test_registry_parallel;
       Alcotest.test_case "concurrent sweeps don't corrupt" `Quick
         test_concurrent_sweeps;
+      Alcotest.test_case "pool: 500 batches on one pool" `Quick
+        test_pool_many_batches;
+      Alcotest.test_case "pool: helpers joined when the body raises" `Quick
+        test_pool_joins_on_raise;
+      Alcotest.test_case "pool: helper fault cell reset between batches"
+        `Quick test_pool_helper_fault_cell;
     ] )

@@ -291,6 +291,32 @@ let test_spawned_domain_emits_nothing =
         Alcotest.failf "expected only the main domain's free, got %d events"
           (List.length events))
 
+(* A pool's caller takes tasks too, but with its switch off, as a helper's
+   is: which tasks the tracing main domain happens to claim must not
+   change what is recorded. *)
+let test_pool_caller_traces_no_task =
+  Helpers.qt "a tracing caller records none of a pool batch's task events"
+    `Quick (fun () ->
+      let (), events =
+        Trace.with_capture (fun () ->
+            Trace.emit_free ~tool:"main" ~addr:1;
+            let on =
+              Giantsan_parallel.Pool.run ~jobs:2
+                (Array.init 16 (fun i () ->
+                     Trace.emit_free ~tool:"task" ~addr:i;
+                     Trace.is_on ()))
+            in
+            Alcotest.(check bool) "every task ran with tracing off" true
+              (Array.for_all not on);
+            Alcotest.(check int) "gate counts the main domain only" 1
+              (Trace.active_domains ()))
+      in
+      match events with
+      | [ (_, Giantsan_telemetry.Event.Free { tool = "main"; addr = 1 }) ] -> ()
+      | _ ->
+        Alcotest.failf "expected only the main domain's free, got %d events"
+          (List.length events))
+
 (* ------------------------------------------------------------------ *)
 (* Performance regression gate                                         *)
 (* ------------------------------------------------------------------ *)
@@ -835,4 +861,5 @@ let suite =
       test_gate_speedup_floor;
       test_gate_missing_rows_malformed;
       test_gate_tolerance_bound;
+      test_pool_caller_traces_no_task;
     ] )
