@@ -4,7 +4,7 @@
 # the sharded-execution determinism gate (serial vs --jobs NDJSON diff),
 # the bench gate's rule table against the committed bench baseline — run
 # once more under --jobs 2 to prove the parallel engine reproduces the
-# same event counts — a serve scaling check (--jobs 2 no slower than
+# same document byte for byte — a serve scaling check (--jobs 2 no slower than
 # --jobs 1) and the wall-clock benchmark's self-test.
 set -eu
 
@@ -295,22 +295,23 @@ fi
 
 echo "== bench gate (vs BENCH_giantsan.json baseline, serial and --jobs 2) =="
 # One engine, one rule table (lib/telemetry/export.ml, gate_rules), run
-# over the deterministic profile sweep twice: serial and sharded. Event
+# over the deterministic bench document twice: serial and sharded. Event
 # counts must reproduce the committed baseline exactly and ns/op stay
 # within ±25%; the fig11 reverse row must keep half its checks on the word
 # path and GiantSan no slower than ASan (the §5.4 regression the MRU window
 # history fixed); the fuzzmode rows must carry identical counts across
 # rebuild and persistent modes, persistent never slower, and a 5x giantsan
-# speedup. sim_ns comes from event counts, never wall clock, so the
-# sharded sweep must pass every rule bit-for-bit too. Wall-clock bechamel
-# groups vary per machine and are not gated (see EXPERIMENTS.md for how to
+# speedup. Every number in the document comes from event counts, never a
+# clock, so the serial and --jobs 2 documents must be byte-identical
+# (wall-clock numbers belong to perfbench/; see EXPERIMENTS.md for how to
 # re-baseline intentionally).
-dune exec bench/main.exe -- --profiles-only --telemetry "$tmpdir/bench.json" \
-  > /dev/null
+dune exec bench/main.exe -- "$tmpdir/bench.json" > /dev/null
 dune exec bin/main.exe -- bench-gate BENCH_giantsan.json "$tmpdir/bench.json"
-dune exec bench/main.exe -- --profiles-only --jobs 2 \
-  --telemetry "$tmpdir/bench_j2.json" > /dev/null
+dune exec bench/main.exe -- --jobs 2 "$tmpdir/bench_j2.json" > /dev/null
 dune exec bin/main.exe -- bench-gate BENCH_giantsan.json "$tmpdir/bench_j2.json"
+cmp "$tmpdir/bench.json" "$tmpdir/bench_j2.json"
+# a missing FILE is a usage error: a bare run never overwrites the baseline
+assert_exit 2 dune exec bench/main.exe
 # a corrupt bench document is corrupt input (2), not a rule violation (1)
 printf '{"profiles": [\n' > "$tmpdir/corrupt_bench.json"
 assert_exit 2 dune exec bin/main.exe -- bench-gate BENCH_giantsan.json \

@@ -946,8 +946,7 @@ let serve_cmd =
                 | None -> ()
                 | Some path ->
                   Giantsan_telemetry.Export.write_file path
-                    (Giantsan_telemetry.Export.bench_json ~groups:[]
-                       ~profiles:[]
+                    (Giantsan_telemetry.Export.bench_json ~profiles:[]
                        ~service:(Service.Loop.service_rows o)
                        ());
                   Printf.eprintf "service bench rows written to %s\n" path);

@@ -8,26 +8,14 @@
     itself and do not care.
 
     The model: each scenario slot carries a [tagged] flag. Allocation tags
-    the slot with exact bounds; the {!Scenario.step} extension point
-    {!launder} strips it (pointer -> int -> pointer). Accesses on tagged
-    slots are checked against exact bounds (better than any redzone!);
-    accesses on laundered slots are unchecked, because the tool has nothing
-    to check against. *)
-
-type t
-
-val create : unit -> t
-
-val launder : t -> slot:int -> unit
-(** The slot's pointer goes through an integer cast / an uninstrumented
-    callee: its tag is gone, and so is every pointer derived from it. *)
-
-val run : t -> Scenario.t -> bool
-(** Execute the scenario under the pointer-based model; [true] when a
-    violation is detected. Laundering applied via [launder] persists for
-    the given instance across the run (the scenario's own steps cannot
-    launder; use {!run_with_laundering} for that). *)
+    the slot with exact bounds; laundering strips it (pointer -> int ->
+    pointer). Accesses on tagged slots are checked against exact bounds
+    (better than any redzone!); accesses on laundered slots are unchecked,
+    because the tool has nothing to check against. *)
 
 val run_with_laundering : launder_slots:int list -> Scenario.t -> bool
-(** Run a fresh instance with the given slots laundered as soon as they are
-    allocated. *)
+(** Execute the scenario under the pointer-based model on a fresh
+    instance; [true] when a violation is detected. Each slot in
+    [launder_slots] is laundered as soon as it is allocated: its pointer
+    went through an integer cast or an uninstrumented callee, so its tag
+    is gone, and so is every pointer derived from it. *)

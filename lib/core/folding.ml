@@ -28,36 +28,6 @@ let with_fault f body =
   cell := f;
   Fun.protect ~finally:(fun () -> cell := saved) body
 
-let poison_good_run_scalar m ~first_seg ~count =
-  (* Incremental floor-log2: walking j upward, [remaining = count - j]
-     decreases by one each step, so the degree drops exactly when
-     [remaining] falls below the current power of two. This keeps the whole
-     poisoning pass linear, matching the paper's claim that the richer
-     encoding costs no extra update time. *)
-  if count > 0 then begin
-    let fault = current_fault () in
-    let d = ref (degree_at ~good_segments:count) in
-    let remaining = ref count in
-    for seg = first_seg to first_seg + count - 1 do
-      while !remaining < 1 lsl !d do
-        decr d
-      done;
-      let degree =
-        (* Seeded bug for the fuzzer's self-test and the chaos engine: the
-           last segment of the run claims an inflated degree, vouching for
-           segments past the object's end. Overstated folds never cause
-           false positives; they silently shrink the detection window,
-           which is exactly the divergence the differential fuzzer and the
-           shadow-vs-oracle self-check must be able to find. *)
-        match fault with
-        | Some (Overstate_last od) when !remaining = 1 -> od
-        | _ -> !d
-      in
-      Shadow_mem.set m seg (State_code.folded degree);
-      decr remaining
-    done
-  end
-
 (* The degree sequence of a run of [G] good segments is a pure function of
    [G]: position j carries [degree_at (G - j)]. Moreover the sequence for
    [G] is a suffix of the sequence for any [N >= G] — both end in
@@ -96,9 +66,10 @@ let poison_good_run m ~first_seg ~count =
     let pat_off = Bytes.length tmpl - count in
     match current_fault () with
     | Some (Overstate_last od) ->
-      (* same shadow and same store count as the scalar kernel: the run
-         minus its last segment is template-blitted, then the overstated
-         final degree is one counted store *)
+      (* Seeded bug for the fuzzer's self-test and the chaos engine. Same
+         store count as a clean run: the run minus its last segment is
+         template-blitted, then the overstated final degree is one counted
+         store *)
       Shadow_mem.blit_pattern m ~lo:first_seg ~pattern:tmpl ~pat_off
         ~len:(count - 1);
       Shadow_mem.set m (first_seg + count - 1) (State_code.folded od)

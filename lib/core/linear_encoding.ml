@@ -1,5 +1,4 @@
 module Shadow_mem = Giantsan_shadow.Shadow_mem
-module Memobj = Giantsan_memsim.Memobj
 
 let max_run = 63
 
@@ -16,22 +15,6 @@ let poison_good_run m ~first_seg ~count =
     Shadow_mem.blit_pattern m ~lo:(first_seg + count - tail) ~pattern:ramp
       ~pat_off:(max_run - tail) ~len:tail
   end
-
-let poison_alloc m (obj : Memobj.t) =
-  let rz = State_code.redzone_code obj.kind in
-  let base_seg = obj.base / 8 in
-  let full = obj.size / 8 in
-  let rem = obj.size mod 8 in
-  Shadow_mem.fill_range m ~lo:(obj.block_base / 8) ~hi:base_seg rz;
-  poison_good_run m ~first_seg:base_seg ~count:full;
-  let after =
-    if rem > 0 then begin
-      Shadow_mem.set m (base_seg + full) (State_code.partial rem);
-      base_seg + full + 1
-    end
-    else base_seg + full
-  in
-  Shadow_mem.fill_range m ~lo:after ~hi:(Memobj.block_end obj / 8) rz
 
 let check m ~l ~r =
   assert (l land 7 = 0);
@@ -58,5 +41,3 @@ let check m ~l ~r =
     in
     hop (l / 8)
   end
-
-let check_unaligned m ~l ~r = check m ~l:(l land lnot 7) ~r

@@ -23,15 +23,5 @@ val poison_good_run :
     [first_seg]: [min (max_run, remaining)] at each position, descending
     to 1 at the run's end. *)
 
-val poison_alloc :
-  Giantsan_shadow.Shadow_mem.t -> Giantsan_memsim.Memobj.t -> unit
-(** Allocation-time poisoning under this encoding: good run over the
-    object's full segments, then the partial-tail code, mirroring
-    {!Folding.poison_alloc}. *)
-
 val check : Giantsan_shadow.Shadow_mem.t -> l:int -> r:int -> bool
 (** Region check by run hopping; [l] 8-aligned. True = safe. *)
-
-val check_unaligned : Giantsan_shadow.Shadow_mem.t -> l:int -> r:int -> bool
-(** [check] after aligning [l] down to its segment boundary, the same
-    soundness argument as {!Region_check.check_unaligned}. *)

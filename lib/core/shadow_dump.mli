@@ -2,15 +2,12 @@
     legend ASan prints under its crash reports. Debugging aid for the
     simulator and the examples. *)
 
-val segment_line :
-  Giantsan_shadow.Shadow_mem.t -> seg:int -> string
-(** One segment's state, e.g. ["seg   42 [336,344)  (3)-folded"]. *)
-
 val around :
   Giantsan_shadow.Shadow_mem.t -> addr:int -> ?radius:int -> unit -> string
 (** Render the segments surrounding [addr] ([radius] segments each side,
-    default 4), marking the segment containing [addr] with an arrow. Does
-    not count metadata loads (uses peeks). *)
+    default 4), one line per segment (e.g.
+    ["seg   42 [336,344)  (3)-folded"]), marking the segment containing
+    [addr] with an arrow. Does not count metadata loads (uses peeks). *)
 
 val run_summary : Giantsan_shadow.Shadow_mem.t -> lo:int -> hi:int -> string
 (** Compact run-length summary of a segment range, e.g.

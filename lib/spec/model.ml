@@ -262,16 +262,9 @@ let code_in_object ~live ~kind ~base ~size seg =
     if live then State_code.partial rem else State_code.freed
   else rz
 
-let shadow_code t seg =
-  match find_object t (seg * 8) with
-  | None -> State_code.unallocated
-  | Some o ->
-    code_in_object ~live:(o.o_status = Live) ~kind:o.o_kind ~base:o.o_base
-      ~size:o.o_size seg
-
 (* One pass over the object table instead of an owner lookup per segment:
    blocks never overlap, so painting each block over an unallocated
-   background is the same function as [shadow_code]. *)
+   background gives every segment its owner's [code_in_object]. *)
 let shadow_array t =
   let out = Array.make (segments t) State_code.unallocated in
   IntMap.iter

@@ -34,8 +34,8 @@ val blit_pattern :
 
 val poison_good_run :
   ?fault:Giantsan_core.Folding.fault -> t -> first_seg:int -> count:int -> unit
-(** Reference for both [Folding.poison_good_run] variants: the degree
-    definition evaluated directly per position, fault plan included. *)
+(** Reference for [Folding.poison_good_run]: the degree definition
+    evaluated directly per position, fault plan included. *)
 
 val object_segments : Giantsan_memsim.Memobj.t -> int * int
 
@@ -76,5 +76,3 @@ val lower_bound_sound : t -> addr:int -> int -> bool
 val linear_poison_good_run : t -> first_seg:int -> count:int -> unit
 (** Reference for [Linear_encoding.poison_good_run]:
     [min max_run (count - j)] per position. *)
-
-val linear_poison_alloc : t -> Giantsan_memsim.Memobj.t -> unit

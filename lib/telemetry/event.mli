@@ -64,8 +64,6 @@ val all_names : string list
     [check-ndjson] validator accepts (unknown kinds are a named error
     unless [--lax]). *)
 
-val path_name : path -> string
-
 val to_json : seq:int -> t -> Json.t
 (** One NDJSON line's worth: an object with ["seq"], ["ev"] and the
     event's own fields. *)

@@ -124,20 +124,7 @@ let service_row_json r =
       ("latency_p999", Json.Float r.sv_latency_p999);
     ]
 
-let bench_json ~groups ~profiles ?(service = []) ?(spans = []) () =
-  let group_json (name, rows) =
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ( "results",
-          Json.List
-            (List.map
-               (fun (test, ns) ->
-                 Json.Obj
-                   [ ("name", Json.Str test); ("ns_per_run", Json.Float ns) ])
-               rows) );
-      ]
-  in
+let bench_json ~profiles ?(service = []) () =
   let profile_json p =
     let checks = p.bp_region_checks in
     let fast_ratio =
@@ -170,13 +157,11 @@ let bench_json ~groups ~profiles ?(service = []) ?(spans = []) () =
   Json.to_string
     (Json.Obj
        ([
-          ("schema", Json.Str "giantsan-bench/v1");
-          ("groups", Json.List (List.map group_json groups));
+          ("schema", Json.Str "giantsan-bench/v2");
           ("profiles", Json.List (List.map profile_json profiles));
         ]
        @ (if service = [] then []
-          else [ ("service", Json.List (List.map service_row_json service)) ])
-       @ [ ("spans", Json.List (List.map Span.to_json spans)) ]))
+          else [ ("service", Json.List (List.map service_row_json service)) ])))
 
 (* Round-trip parser for the [service] section (the sustained-traffic rows
    the [serve] subcommand and the bench export write): used by the export
@@ -238,8 +223,7 @@ let parse_bench_service text =
 (* The gate only reads the [profiles] section. The simulated cost sweep is
    deterministic (seeded specgen, event-count cost model), so the event
    counts must match the baseline exactly and ns/op may drift only within
-   the tolerance; the wall-clock bechamel [groups] vary per machine and are
-   deliberately not gated. *)
+   the tolerance. *)
 
 let gate_count_fields =
   [ "ops"; "shadow_loads"; "shadow_stores"; "region_checks"; "fast_checks";

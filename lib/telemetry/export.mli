@@ -5,18 +5,16 @@
 val ndjson_lines : (int * Event.t) list -> string list
 (** One compact JSON object per event, in order. *)
 
-val check_ndjson_line : ?lax:bool -> string -> (unit, string) result
-(** A valid trace line is one JSON object with an ["ev"] string field and
-    a non-negative ["seq"] int field — and, unless [lax] (default
-    [false]), the ["ev"] value must be one of {!Event.all_names}: an
-    unknown kind fails with a named [unknown event kind] error instead of
-    being accepted silently. *)
-
 val check_ndjson : ?lax:bool -> string -> (int, string) result
 (** Validate a whole NDJSON document (empty lines allowed); returns the
     number of event lines or the first error, prefixed with its line
-    number. [lax] is the escape hatch for foreign dumps with event kinds
-    this build does not know (the CLI exposes it as [--lax]). *)
+    number. A valid line is one JSON object with an ["ev"] string field
+    and a non-negative ["seq"] int field — and, unless [lax] (default
+    [false]), the ["ev"] value must be one of {!Event.all_names}: an
+    unknown kind fails with a named [unknown event kind] error instead of
+    being accepted silently. [lax] is the escape hatch for foreign dumps
+    with event kinds this build does not know (the CLI exposes it as
+    [--lax]). *)
 
 (** {1 summary.json} *)
 
@@ -66,17 +64,13 @@ type service_row = {
     ROADMAP's service mode is measured by. *)
 
 val bench_json :
-  groups:(string * (string * float) list) list ->
-  profiles:bench_profile list ->
-  ?service:service_row list ->
-  ?spans:Span.t list ->
-  unit ->
-  string
-(** The BENCH_giantsan.json document: wall-clock ns/run per bechamel test
-    (grouped), per-profile simulated cost with ns/op, shadow loads and
-    fast-path ratio, the optional [service] sustained-traffic rows
-    (latency percentiles + ops/sec), and optional spans. Schema documented
-    in EXPERIMENTS.md. *)
+  profiles:bench_profile list -> ?service:service_row list -> unit -> string
+(** The BENCH_giantsan.json document ([giantsan-bench/v2]): the [schema]
+    tag, per-profile simulated cost with ns/op, shadow loads and fast-path
+    ratio, and — when [service] is non-empty — the sustained-traffic rows
+    (latency percentiles + ops/sec). Every value derives from event counts,
+    so the document is byte-identical across machines and [--jobs]. Schema
+    documented in EXPERIMENTS.md. *)
 
 val parse_bench_service : string -> (service_row list, string) result
 (** Parse the [service] section back out of a BENCH_giantsan.json document
@@ -89,23 +83,16 @@ val parse_bench_service : string -> (service_row list, string) result
     sections of two BENCH_giantsan.json documents: the committed baseline
     and a fresh run. The sweep is deterministic (seeded scenarios, the
     event-count cost model), so event counts must reproduce exactly and
-    [ns_per_op] may move only within a tolerance. The wall-clock bechamel
-    groups are not gated. *)
-
-val gate_count_fields : string list
-(** The per-profile fields the gate requires to match exactly:
-    ops, shadow loads/stores, region/fast/slow/word check counts. *)
+    [ns_per_op] may move only within a tolerance. *)
 
 type gate_profile = {
   g_profile : string;
   g_config : string;
   g_ns_per_op : float;
-  g_counts : (string * int) list;  (** in [gate_count_fields] order *)
+  g_counts : (string * int) list;
+      (** the fields the gate requires to match exactly: ops, shadow
+          loads/stores, region/fast/slow/word check counts, in that order *)
 }
-
-val parse_bench_profiles : string -> (gate_profile list, string) result
-(** Parse the [profiles] section of a BENCH_giantsan.json document into
-    gate rows. *)
 
 (** Which pairs of rows a rule judges (left, right). *)
 type selector =
@@ -129,7 +116,7 @@ type rule = {
 
 val gate_rules : rule list
 (** The gate, in evaluation order: [count:FIELD] (exact equality with the
-    baseline for each of {!gate_count_fields}), [ns-regressed] and
+    baseline for each field of [g_counts]), [ns-regressed] and
     [ns-improved] (ns/op within ±25%), [fig11-word-path] and
     [fig11-vs-asan] (GiantSan's reverse row keeps ≥ 0.5 of its checks on
     the word path and is no slower than ASan's), [fuzzmode-counts] and

@@ -74,5 +74,4 @@ type set = {
 
 val create_set : unit -> set
 val merge_set : set -> set -> set
-val set_to_list : set -> t list
 val set_to_json : set -> Json.t

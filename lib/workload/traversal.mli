@@ -1,7 +1,8 @@
 (** Buffer-traversal kernels for the §5.4 limitation study (Figure 11).
 
     Three patterns over one buffer, written directly against the sanitizer
-    API (no interpreter) so they can be timed for real with Bechamel:
+    API (no interpreter) so they can be timed for real (the [perfbench]
+    [traversal] workload):
 
     - {b forward}: ascending scan through the history cache — GiantSan's
       quasi-bound converges in O(log n) updates and everything else is a

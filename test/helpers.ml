@@ -45,6 +45,18 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* A file or directory under test/corpus. [dune runtest] runs the suite in
+   _build/default/test, where the (source_tree corpus) dependency puts
+   [rel] itself; a hand run of test_main.exe from the repo root finds it
+   under test/. Fails naming every path it tried. *)
+let corpus_path rel =
+  let tried = [ rel; Filename.concat "test" rel ] in
+  match List.find_opt Sys.file_exists tried with
+  | Some path -> path
+  | None ->
+    Alcotest.failf "corpus path %s not found (tried %s from %s)" rel
+      (String.concat ", " tried) (Sys.getcwd ())
+
 (* Quick alcotest shorthands *)
 let qt = Alcotest.test_case
 let q name arb prop =

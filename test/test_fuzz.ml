@@ -15,7 +15,7 @@ module Shrink = Giantsan_fuzz.Shrink
 module Exec = Giantsan_fuzz.Exec
 module Engine = Giantsan_fuzz.Engine
 
-let regressions_dir = "corpus/regressions"
+let regressions_dir () = Helpers.corpus_path "corpus/regressions"
 
 let violations =
   [
@@ -172,7 +172,7 @@ let test_misfold_found_and_shrunk () =
 (* --- regression corpus -------------------------------------------------- *)
 
 let test_regressions_replay_green () =
-  let results = Engine.replay ~dir:regressions_dir () in
+  let results = Engine.replay ~dir:(regressions_dir ()) () in
   Alcotest.(check bool) "corpus is not empty" true (List.length results > 0);
   List.iter
     (fun (name, problems) ->
@@ -182,17 +182,18 @@ let test_regressions_replay_green () =
 let test_misfold_regressions_guard_the_bug () =
   (* the two shrunk findings checked into the corpus must actually diverge
      again if the planted bug ever comes back *)
+  let dir = regressions_dir () in
   let guards =
     List.filter
       (fun (name, _) ->
         String.length name >= 7 && String.sub name 0 7 = "misfold")
-      (Engine.replay ~dir:regressions_dir ())
+      (Engine.replay ~dir ())
   in
   Alcotest.(check int) "two misfold guards present" 2 (List.length guards);
   Folding.with_fault (Some (Folding.Overstate_last 1)) (fun () ->
       List.iter
         (fun (name, _) ->
-          match Corpus.load_file (Filename.concat regressions_dir name) with
+          match Corpus.load_file (Filename.concat dir name) with
           | Error e -> Alcotest.failf "%s: %s" name e
           | Ok sc ->
             Alcotest.(check bool)

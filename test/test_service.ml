@@ -224,7 +224,7 @@ let test_bench_roundtrip =
     (fun () ->
       let o = Loop.run base_cfg in
       let rows = Loop.service_rows o in
-      let body = Export.bench_json ~groups:[] ~profiles:[] ~service:rows () in
+      let body = Export.bench_json ~profiles:[] ~service:rows () in
       match Export.parse_bench_service body with
       | Error e -> Alcotest.fail e
       | Ok parsed ->

@@ -177,18 +177,19 @@ let load_scn path =
   | Ok sc -> sc
   | Error e -> Alcotest.fail (path ^ ": " ^ e)
 
-let regression = "corpus/regressions/uaf_then_double_free.scn"
+let regression () =
+  Helpers.corpus_path "corpus/regressions/uaf_then_double_free.scn"
 
 let test_trace_deterministic =
   Helpers.qt "same scenario twice => byte-identical NDJSON" `Quick (fun () ->
-      let sc = load_scn regression in
+      let sc = load_scn (regression ()) in
       let t1 = Exec.capture_trace sc and t2 = Exec.capture_trace sc in
       Alcotest.(check bool) "non-empty" true (t1 <> []);
       Alcotest.(check (list string)) "identical" t1 t2)
 
 let test_trace_covers_all_tools =
   Helpers.qt "the trace carries events from every tool" `Quick (fun () ->
-      let sc = load_scn regression in
+      let sc = load_scn (regression ()) in
       let text = String.concat "\n" (Exec.capture_trace sc) in
       List.iter
         (fun tool ->
@@ -203,7 +204,7 @@ let test_trace_covers_all_tools =
 
 let test_trace_lines_valid_ndjson =
   Helpers.qt "every captured line passes the NDJSON checker" `Quick (fun () ->
-      let sc = load_scn regression in
+      let sc = load_scn (regression ()) in
       let lines = Exec.capture_trace sc in
       match Export.check_ndjson (String.concat "\n" lines) with
       | Ok n -> Alcotest.(check int) "all lines counted" (List.length lines) n
@@ -335,7 +336,7 @@ let mk_profile ?(sim_ns = 5000.0) ?(ops = 100) ?(stores = 40) name config =
     bp_word_checks = 20;
   }
 
-let mk_doc profiles = Export.bench_json ~groups:[] ~profiles ()
+let mk_doc profiles = Export.bench_json ~profiles ()
 
 (* The baseline-comparison rules of the gate engine alone. *)
 let compare_bench ~baseline ~current =
